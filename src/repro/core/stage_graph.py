@@ -19,8 +19,10 @@ graph:
 * Node outputs live in a pluggable signal store (any object with
   ``get(key) -> Optional[ndarray]`` / ``put(key, ndarray)``): the default is
   the in-process :class:`MemoryStageStore`, and :mod:`repro.runtime.
-  signal_store` provides persistent JSON-directory and SQLite backends with
-  the same interface.
+  signal_store` provides persistent directory and SQLite stores.  All of
+  them are the backends of :mod:`repro.core.store` bound to its ``.npy``
+  array codec, so they share one stats type, one checksum scheme and one
+  eviction policy with the result caches.
 * Per-stage hit/compute accounting (:class:`StageGraphStats`) feeds the
   runtime telemetry and the stage-memoization benchmark.  Hits are further
   classified by *reuse class*: ``classic`` (node computed by this memo under
@@ -49,6 +51,7 @@ from ..dsp.stages import StageDefinition
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span as obs_span
 from .fingerprint import signal_content_hash, signal_root_key, stage_node_key
+from .store import ArrayCodec, MemoryStore
 
 __all__ = [
     "StageGraphStats",
@@ -76,13 +79,6 @@ _RESOLVE_SECONDS = obs_metrics.histogram(
     "Stage-graph node resolution latency by stage and hit class.",
     labelnames=("stage", "result"),
 )
-
-_STAGE_STORE_EVICTIONS = obs_metrics.counter(
-    "repro_cache_ops_total",
-    "Cache-tier operations by tier (result_cache/signal_store/stage_store) and op.",
-    labelnames=("tier", "op"),
-)
-
 
 # ------------------------------------------------------------- accounting
 @dataclass
@@ -175,57 +171,19 @@ class StageGraphStats:
 
 
 # ------------------------------------------------------------------ store
-class MemoryStageStore:
+class MemoryStageStore(MemoryStore):
     """Thread-safe in-process LRU store of stage-output signals.
 
-    Stored arrays are copied and frozen (``writeable = False``) so a cached
-    signal can be handed to many concurrent pipeline runs without any risk of
-    one run mutating another's input.
+    Stored arrays are copied and frozen (``writeable = False``) once, on put,
+    so a cached signal can be handed to many concurrent pipeline runs without
+    any risk of one run mutating another's input.
     """
 
+    codec = ArrayCodec()
+    tier = "stage_store"
+
     def __init__(self, max_entries: Optional[int] = DEFAULT_STORE_ENTRIES) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.evictions = 0
-        self._entries: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Optional[np.ndarray]:
-        """The stored signal for ``key`` (read-only view), or ``None``."""
-        with self._lock:
-            signal = self._entries.get(key)
-            if signal is not None:
-                self._entries.move_to_end(key)
-            return signal
-
-    def put(self, key: str, signal: np.ndarray) -> None:
-        """Store a frozen copy of ``signal`` under ``key``."""
-        frozen = np.array(signal, copy=True)
-        frozen.setflags(write=False)
-        with self._lock:
-            self._entries[key] = frozen
-            self._entries.move_to_end(key)
-            while (
-                self.max_entries is not None
-                and len(self._entries) > self.max_entries
-            ):
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                _STAGE_STORE_EVICTIONS.labels("stage_store", "evictions").inc()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def clear(self) -> None:
-        """Drop every stored signal (eviction count is kept)."""
-        with self._lock:
-            self._entries.clear()
+        super().__init__(max_entries)
 
 
 # ------------------------------------------------------------------- memo

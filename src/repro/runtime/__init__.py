@@ -15,13 +15,15 @@ Modules
     The :class:`ExplorationRuntime` itself (serial / thread / process
     executors, deterministic ordering, batch deduplication).
 ``repro.runtime.cache``
-    Result cache backends: in-memory LRU, JSON-per-entry directory and
-    SQLite, all checksummed with corruption detection, optional size-cap
-    eviction and hit/miss/eviction statistics.
+    Result caches: the in-memory LRU, file-per-entry directory and SQLite
+    backends of :mod:`repro.core.store` bound to the canonical-JSON
+    evaluation codec — checksummed with corruption detection, schema-tagged,
+    entry- and byte-budget eviction, one hit/miss/eviction stats type.
 ``repro.runtime.signal_store``
     Intermediate-signal stores backing the stage graph
-    (:mod:`repro.core.stage_graph`): the same three backends, holding
-    memoized per-stage output signals instead of whole evaluations.
+    (:mod:`repro.core.stage_graph`): the same three backends bound to the
+    ``.npy`` array codec, holding memoized per-stage output signals instead
+    of whole evaluations.
 ``repro.runtime.chunking``
     The batching policy used to split work across the pool.
 ``repro.runtime.telemetry``
@@ -36,10 +38,8 @@ content-addressed jobs.
 """
 
 from .cache import (
-    CacheStats,
     JSONDirectoryCache,
     MemoryResultCache,
-    ResultCache,
     SQLiteResultCache,
     open_cache,
 )
@@ -48,7 +48,6 @@ from .engine import EXECUTOR_KINDS, ExplorationRuntime, RuntimeStatistics
 from .signal_store import (
     JSONDirectorySignalStore,
     MemorySignalStore,
-    SignalStoreStats,
     SQLiteSignalStore,
     open_signal_store,
 )
@@ -57,13 +56,10 @@ from .telemetry import ProgressEvent, ProgressLog, RuntimeTelemetry
 __all__ = [
     "JSONDirectorySignalStore",
     "MemorySignalStore",
-    "SignalStoreStats",
     "SQLiteSignalStore",
     "open_signal_store",
-    "CacheStats",
     "JSONDirectoryCache",
     "MemoryResultCache",
-    "ResultCache",
     "SQLiteResultCache",
     "open_cache",
     "ChunkPolicy",

@@ -1,372 +1,46 @@
-"""Persistent, content-addressed result caches for the exploration runtime.
+"""Content-addressed result caches for the exploration runtime.
 
 Design evaluations are expensive (one approximate pipeline run per record),
 deterministic and keyed by content (:mod:`repro.core.fingerprint`), which
-makes them ideal cache citizens.  This module provides three interchangeable
-backends behind the :class:`ResultCache` interface:
+makes them ideal cache citizens.  The caches here are the backends of
+:mod:`repro.core.store` bound to the canonical-JSON evaluation codec:
 
-* :class:`MemoryResultCache` — in-process LRU cache (optionally bounded, with
-  eviction accounting).
-* :class:`JSONDirectoryCache` — one JSON file per entry inside a cache
+* :class:`MemoryResultCache` — in-process LRU cache of live evaluations
+  (optionally bounded, with eviction accounting).
+* :class:`JSONDirectoryCache` — one checksummed file per entry inside a cache
   directory; human-inspectable, trivially mergeable between machines.
 * :class:`SQLiteResultCache` — a single SQLite database file; the right
   choice when many processes or runs share one cache.
 
-The on-disk backends accept the same ``max_entries`` size cap as the memory
-cache: once over the cap, the oldest entries (by file modification time for
-the JSON directory, by insertion order for SQLite) are evicted and counted in
-:attr:`CacheStats.evictions`, so a long-running exploration cannot grow a
-cache directory or database without bound.  They additionally accept a
-``max_bytes`` byte budget: after every write the oldest entries are evicted
-until the payload bytes on disk fit the budget (the newest entry is never
-evicted, so one oversized entry cannot empty the cache).  Both caps compose;
-:meth:`ResultCache.size_bytes` reports the current payload footprint.
-
-Every persisted entry embeds a SHA-256 checksum of its payload.  A corrupted
-entry (truncated file, bit rot, concurrent writer crash, schema drift) is
-detected on read, counted in :attr:`CacheStats.corrupt`, dropped from the
-backend and reported as a miss — the runtime then simply recomputes it.
+The persistent backends accept an entry cap (``max_entries``) and a byte
+budget (``max_bytes``) with oldest-first eviction, detect corrupted entries
+on read (counted in ``stats.corrupt``, dropped, reported as a miss — the
+runtime simply recomputes them) and purge caches written in an older format
+(counted in ``stats.stale``).  See :mod:`repro.core.store` for the details
+shared with the signal stores.
 
 All caches also implement the mutable-mapping subset used by
 :class:`~repro.core.quality.DesignEvaluator` (``in`` / ``[]``), so a
 persistent cache can be plugged straight into an evaluator.
-
-This module also hosts the *key-schema marker* helpers shared with the
-persistent signal stores (:mod:`repro.runtime.signal_store`): a store stamps
-itself with the stage-node key schema it was written under
-(:data:`~repro.core.fingerprint.STAGE_KEY_SCHEMA`), so entries written under
-an older scheme (the pre-1.1 prefix-chain keys) are detected on open and
-purged rather than silently mixed with input-addressed nodes.  The result
-caches themselves don't need a marker — their keys already fold in the
-library version via the workload fingerprint.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import sqlite3
-import threading
-from abc import ABC, abstractmethod
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from ..core.configurations import DesignPoint, StageApproximation
 from ..core.quality import DesignEvaluation
-from ..obs import metrics as obs_metrics
-
-#: Shared cache-tier operation counter; the same family is used by the
-#: persistent signal stores (tier="signal_store") and the in-process stage
-#: store (tier="stage_store").
-_CACHE_OPS = obs_metrics.counter(
-    "repro_cache_ops_total",
-    "Cache-tier operations by tier (result_cache/signal_store/stage_store) and op.",
-    labelnames=("tier", "op"),
-)
+from ..core.store import Codec, DirectoryStore, MemoryStore, SQLiteStore, Store
 
 __all__ = [
-    "CacheStats",
-    "ResultCache",
     "MemoryResultCache",
     "JSONDirectoryCache",
     "SQLiteResultCache",
-    "DirectoryEvictionIndex",
-    "SQLiteEvictionBudget",
     "open_cache",
     "serialize_evaluation",
     "deserialize_evaluation",
-    "read_schema_marker_file",
-    "write_schema_marker_file",
-    "read_sqlite_schema_marker",
-    "write_sqlite_schema_marker",
 ]
-
-#: Name of the key-schema marker file inside directory-backed stores.  Does
-#: not end in any entry suffix (``.signal.json`` / ``.json`` entries are hex
-#: digests), so eviction indexes and entry scans never pick it up.
-SCHEMA_MARKER_FILENAME = "_schema.json"
-
-
-# ------------------------------------------------------------ schema markers
-def read_schema_marker_file(
-    directory: str, filename: str = SCHEMA_MARKER_FILENAME
-) -> Optional[str]:
-    """Key-schema tag a directory-backed store was written under.
-
-    ``None`` when the directory carries no (readable) marker — which is how
-    stores written before schema tagging existed present themselves.
-    """
-    path = os.path.join(directory, filename)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        tag = payload.get("schema")
-        return tag if isinstance(tag, str) else None
-    except (OSError, json.JSONDecodeError, AttributeError):
-        return None
-
-
-def write_schema_marker_file(
-    directory: str, tag: str, filename: str = SCHEMA_MARKER_FILENAME
-) -> None:
-    """Stamp a directory-backed store with the key-schema tag (atomic)."""
-    path = os.path.join(directory, filename)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump({"schema": tag}, handle)
-    os.replace(tmp, path)
-
-
-def read_sqlite_schema_marker(connection: sqlite3.Connection) -> Optional[str]:
-    """Key-schema tag of a SQLite-backed store (creates the meta table).
-
-    ``None`` when no tag was ever written — databases predating schema
-    tagging have a ``meta`` table created on the spot, but no ``schema`` row.
-    """
-    connection.execute(
-        "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-    )
-    row = connection.execute(
-        "SELECT value FROM meta WHERE key = 'schema'"
-    ).fetchone()
-    return row[0] if row is not None else None
-
-
-def write_sqlite_schema_marker(connection: sqlite3.Connection, tag: str) -> None:
-    """Stamp a SQLite-backed store with the key-schema tag (caller commits)."""
-    connection.execute(
-        "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema', ?)",
-        (tag,),
-    )
-
-
-# ----------------------------------------------------------- size-cap helpers
-class DirectoryEvictionIndex:
-    """Insertion-ordered index of a directory-backed cache's entry files.
-
-    Shared by the JSON-directory result cache and signal store: both evict
-    oldest-first once over their ``max_entries`` cap or ``max_bytes`` budget.
-    The index seeds itself from a modification-time scan of pre-existing
-    files, then tracks puts (and their file sizes) in insertion order — so
-    eviction order is exact for entries written by this process (no reliance
-    on filesystem mtime granularity) and the per-put cost is O(evicted), not
-    a directory rescan.  Entries written concurrently by *other* processes
-    are outside the index; each process bounds the entries it knows about.
-    """
-
-    def __init__(self, directory: str, suffix: str) -> None:
-        self.directory = directory
-        self.suffix = suffix
-        self._paths: "OrderedDict[str, int]" = OrderedDict()
-        self._bytes = 0
-        seed = []
-        for name in os.listdir(directory):
-            if not name.endswith(suffix) or ".tmp." in name:
-                continue
-            path = os.path.join(directory, name)
-            try:
-                stat = os.stat(path)
-            except OSError:  # pragma: no cover - race with another process
-                continue
-            seed.append((stat.st_mtime, path, int(stat.st_size)))
-        for _, path, size in sorted(seed):
-            self._paths[path] = size
-            self._bytes += size
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes held by the indexed entry files."""
-        return self._bytes
-
-    def record(self, path: str, size: Optional[int] = None) -> None:
-        """Note that ``path`` was (re)written; it becomes the newest entry."""
-        self._bytes -= self._paths.pop(path, 0)
-        if size is None:
-            try:
-                size = int(os.path.getsize(path))
-            except OSError:  # pragma: no cover - race with another process
-                size = 0
-        self._paths[path] = size
-        self._bytes += size
-
-    def forget(self, path: str) -> None:
-        """Note that ``path`` was removed outside of eviction."""
-        self._bytes -= self._paths.pop(path, 0)
-
-    def evict_over_budget(
-        self, max_entries: Optional[int], max_bytes: Optional[int], drop
-    ) -> int:
-        """Drop oldest entries until both the entry cap and byte budget hold.
-
-        The newest entry always survives the byte budget, so a single entry
-        larger than ``max_bytes`` cannot empty the cache (it is evicted by
-        the next write instead).
-        """
-        evicted = 0
-        while self._paths:
-            over_entries = (
-                max_entries is not None and len(self._paths) > max_entries
-            )
-            over_bytes = (
-                max_bytes is not None
-                and self._bytes > max_bytes
-                and len(self._paths) > 1
-            )
-            if not (over_entries or over_bytes):
-                break
-            path, size = self._paths.popitem(last=False)
-            self._bytes -= size
-            drop(path)
-            evicted += 1
-        return evicted
-
-
-class SQLiteEvictionBudget:
-    """Running entry/byte totals driving eviction of one SQLite table.
-
-    Counting rows or summing payload sizes on every write would make each
-    put O(table size); instead the totals are measured once when the store
-    opens and maintained incrementally, so the steady-state cost of a
-    budgeted write is one indexed lookup plus O(evicted) single-row deletes
-    — the SQLite counterpart of :class:`DirectoryEvictionIndex`, with the
-    same caveat: rows written concurrently by *other* processes are outside
-    the totals, each process bounds the entries it knows about.
-
-    ``INSERT OR REPLACE`` always assigns a fresh rowid, so rowid order is
-    insertion order and the smallest rowids are the oldest entries.  The
-    caller holds the store lock and commits.
-    """
-
-    def __init__(
-        self,
-        connection: sqlite3.Connection,
-        table: str,
-        size_expr: str,
-        max_entries: Optional[int],
-        max_bytes: Optional[int],
-    ) -> None:
-        self.connection = connection
-        self.table = table
-        self.size_expr = size_expr
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        (count,) = connection.execute(
-            f"SELECT COUNT(*) FROM {table}"
-        ).fetchone()
-        (total,) = connection.execute(
-            f"SELECT COALESCE(SUM({size_expr}), 0) FROM {table}"
-        ).fetchone()
-        self.entries = int(count)
-        self.bytes = int(total)
-
-    def size_of(self, key: str) -> Optional[int]:
-        """Stored size of ``key``'s row, or ``None`` when absent."""
-        row = self.connection.execute(
-            f"SELECT {self.size_expr} FROM {self.table} WHERE key = ?",
-            (key,),
-        ).fetchone()
-        return int(row[0]) if row is not None else None
-
-    def replaced(self, old_size: Optional[int], new_size: int) -> None:
-        """Account one ``INSERT OR REPLACE`` (``old_size`` from :meth:`size_of`)."""
-        if old_size is None:
-            self.entries += 1
-            self.bytes += new_size
-        else:
-            self.bytes += new_size - old_size
-
-    def removed(self, size: int) -> None:
-        """Account one row removed outside of eviction (e.g. corruption)."""
-        self.entries = max(0, self.entries - 1)
-        self.bytes = max(0, self.bytes - size)
-
-    def cleared(self) -> None:
-        """Account the table being emptied."""
-        self.entries = 0
-        self.bytes = 0
-
-    def evict(self) -> int:
-        """Delete oldest rows until the entry cap and byte budget both hold.
-
-        The newest row always survives the byte budget, so a single
-        oversized entry cannot empty the table.
-        """
-        evicted = 0
-        while True:
-            over_entries = (
-                self.max_entries is not None and self.entries > self.max_entries
-            )
-            over_bytes = (
-                self.max_bytes is not None
-                and self.bytes > self.max_bytes
-                and self.entries > 1
-            )
-            if not (over_entries or over_bytes):
-                break
-            row = self.connection.execute(
-                f"SELECT rowid, {self.size_expr} FROM {self.table}"
-                " ORDER BY rowid ASC LIMIT 1"
-            ).fetchone()
-            if row is None:  # pragma: no cover - another process emptied it
-                self.cleared()
-                break
-            rowid, size = row
-            self.connection.execute(
-                f"DELETE FROM {self.table} WHERE rowid = ?", (rowid,)
-            )
-            self.removed(int(size))
-            evicted += 1
-        return evicted
-
-
-# --------------------------------------------------------------- statistics
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction accounting of one cache instance."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    corrupt: int = 0
-
-    #: Tier label this stats object mirrors into ``repro_cache_ops_total``.
-    _METRICS_TIER = "result_cache"
-
-    def record(self, op: str, count: int = 1) -> None:
-        """Account ``count`` events of ``op`` (``hits``/``misses``/``puts``/
-        ``evictions``/``corrupt``...), mirroring them into the process-wide
-        ``repro_cache_ops_total{tier,op}`` counter."""
-        if not count:
-            return
-        setattr(self, op, getattr(self, op) + int(count))
-        _CACHE_OPS.labels(self._METRICS_TIER, op).inc(count)
-
-    @property
-    def lookups(self) -> int:
-        """Total number of ``get`` calls."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict snapshot (telemetry / CLI reporting)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "hit_rate": self.hit_rate,
-        }
 
 
 # ------------------------------------------------------------ serialization
@@ -427,374 +101,65 @@ def deserialize_evaluation(payload: Dict[str, object]) -> DesignEvaluation:
     )
 
 
-def _payload_checksum(payload: Dict[str, object]) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+class EvaluationCodec(Codec):
+    """:class:`DesignEvaluation` as canonical (sorted, compact) JSON."""
 
+    name = "evaluations"
+    suffix = ".evaluation"
+    schema = "evaluation-json-v1"
+    legacy_suffix = ".json"
 
-def _encode_entry(evaluation: DesignEvaluation) -> Dict[str, object]:
-    payload = serialize_evaluation(evaluation)
-    return {"checksum": _payload_checksum(payload), "payload": payload}
+    def encode(self, evaluation: DesignEvaluation) -> bytes:
+        text = json.dumps(
+            serialize_evaluation(evaluation), sort_keys=True, separators=(",", ":")
+        )
+        return text.encode("utf-8")
 
-
-def _decode_entry(entry: Dict[str, object]) -> Optional[DesignEvaluation]:
-    """Decode a persisted entry; ``None`` when it fails verification."""
-    try:
-        payload = entry["payload"]
-        if entry["checksum"] != _payload_checksum(payload):
-            return None
-        return deserialize_evaluation(payload)
-    except (KeyError, TypeError, ValueError):
-        return None
+    def decode(self, blob: bytes) -> DesignEvaluation:
+        return deserialize_evaluation(json.loads(blob))
 
 
 # ------------------------------------------------------------------ backends
-class ResultCache(ABC):
-    """Content-addressed cache of design evaluations."""
-
-    def __init__(self) -> None:
-        self.stats = CacheStats()
-
-    @abstractmethod
-    def _read(self, key: str) -> Optional[DesignEvaluation]:
-        """Fetch one entry, dropping it and returning ``None`` if corrupt."""
-
-    @abstractmethod
-    def _write(self, key: str, evaluation: DesignEvaluation) -> None:
-        """Store one entry (overwriting any previous value)."""
-
-    @abstractmethod
-    def __len__(self) -> int:
-        """Number of stored entries."""
-
-    @abstractmethod
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-
-    # ------------------------------------------------------------- interface
-    def get(self, key: str) -> Optional[DesignEvaluation]:
-        """The cached evaluation for ``key``, or ``None`` on a miss."""
-        evaluation = self._read(key)
-        if evaluation is None:
-            self.stats.record("misses")
-            return None
-        self.stats.record("hits")
-        return evaluation
-
-    def put(self, key: str, evaluation: DesignEvaluation) -> None:
-        """Store ``evaluation`` under ``key``."""
-        self.stats.record("puts")
-        self._write(key, evaluation)
-
-    # Mutable-mapping subset so a cache can back a DesignEvaluator directly.
-    def __contains__(self, key: str) -> bool:
-        return self._peek(key) is not None
-
-    def __getitem__(self, key: str) -> DesignEvaluation:
-        evaluation = self.get(key)
-        if evaluation is None:
-            raise KeyError(key)
-        return evaluation
-
-    def __setitem__(self, key: str, evaluation: DesignEvaluation) -> None:
-        self.put(key, evaluation)
-
-    def _peek(self, key: str) -> Optional[DesignEvaluation]:
-        """Like :meth:`_read` but without touching the statistics."""
-        return self._read(key)
-
-    def size_bytes(self) -> Optional[int]:
-        """Payload bytes currently held, or ``None`` when not measurable."""
-        return None
-
-
-class MemoryResultCache(ResultCache):
+class MemoryResultCache(MemoryStore):
     """In-process LRU cache, optionally bounded to ``max_entries``.
 
     Thread-safe: the exploration service resolves concurrent jobs against
     one shared cache from several worker threads.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        super().__init__()
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, DesignEvaluation]" = OrderedDict()
-
-    def _read(self, key: str) -> Optional[DesignEvaluation]:
-        with self._lock:
-            evaluation = self._entries.get(key)
-            if evaluation is not None:
-                self._entries.move_to_end(key)
-            return evaluation
-
-    def _peek(self, key: str) -> Optional[DesignEvaluation]:
-        return self._entries.get(key)
-
-    def _write(self, key: str, evaluation: DesignEvaluation) -> None:
-        with self._lock:
-            self._entries[key] = evaluation
-            self._entries.move_to_end(key)
-            while (
-                self.max_entries is not None
-                and len(self._entries) > self.max_entries
-            ):
-                self._entries.popitem(last=False)
-                self.stats.record("evictions")
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def keys(self) -> Iterator[str]:
-        """Stored keys, least-recently-used first."""
-        return iter(list(self._entries))
+    codec = EvaluationCodec()
+    tier = "result_cache"
 
 
-class JSONDirectoryCache(ResultCache):
-    """One checksummed JSON file per entry inside ``directory``.
+class JSONDirectoryCache(DirectoryStore):
+    """One checksummed canonical-JSON file per entry inside ``directory``.
 
     ``max_entries`` bounds the directory's entry count, ``max_bytes`` its
-    byte footprint: after every write the oldest files (by modification
-    time) beyond either budget are removed and counted as evictions.
+    byte footprint: after every write the oldest files beyond either budget
+    are removed and counted as evictions.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        super().__init__()
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.directory = directory
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        # Concurrent service jobs read/write one shared cache from several
-        # threads; the lock keeps the eviction index consistent.
-        self._lock = threading.Lock()
-        os.makedirs(directory, exist_ok=True)
-        self._index = (
-            DirectoryEvictionIndex(directory, ".json")
-            if max_entries is not None or max_bytes is not None
-            else None
-        )
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.json")
-
-    def _read(self, key: str) -> Optional[DesignEvaluation]:
-        path = self._path(key)
-        with self._lock:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except FileNotFoundError:
-                return None
-            except (OSError, json.JSONDecodeError):
-                self.stats.record("corrupt")
-                self._drop(path)
-                return None
-            evaluation = _decode_entry(entry)
-            if evaluation is None:
-                self.stats.record("corrupt")
-                self._drop(path)
-            return evaluation
-
-    def _drop(self, path: str) -> None:
-        if self._index is not None:
-            self._index.forget(path)
-        try:
-            os.remove(path)
-        except OSError:  # pragma: no cover - race with another process
-            pass
-
-    def _write(self, key: str, evaluation: DesignEvaluation) -> None:
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with self._lock:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(_encode_entry(evaluation), handle, sort_keys=True)
-            os.replace(tmp, path)
-            if self._index is not None:
-                self._index.record(path)
-                self.stats.record(
-                    "evictions",
-                    self._index.evict_over_budget(
-                        self.max_entries, self.max_bytes, self._remove_file
-                    ),
-                )
-
-    @staticmethod
-    def _remove_file(path: str) -> None:
-        try:
-            os.remove(path)
-        except OSError:  # pragma: no cover - race with another process
-            pass
-
-    def __len__(self) -> int:
-        return sum(
-            1 for name in os.listdir(self.directory) if name.endswith(".json")
-        )
-
-    def size_bytes(self) -> Optional[int]:
-        with self._lock:
-            if self._index is not None:
-                return self._index.total_bytes
-            total = 0
-            for name in os.listdir(self.directory):
-                if name.endswith(".json"):
-                    try:
-                        total += os.path.getsize(
-                            os.path.join(self.directory, name)
-                        )
-                    except OSError:  # pragma: no cover - race
-                        continue
-            return total
-
-    def clear(self) -> None:
-        with self._lock:
-            for name in os.listdir(self.directory):
-                if name.endswith(".json"):
-                    self._drop(os.path.join(self.directory, name))
+    codec = EvaluationCodec()
+    tier = "result_cache"
 
 
-class SQLiteResultCache(ResultCache):
+class SQLiteResultCache(SQLiteStore):
     """All entries in one SQLite database file (share-friendly across runs).
 
     ``max_entries`` bounds the table's row count, ``max_bytes`` its payload
-    bytes: after every write the oldest rows (by insertion order —
-    ``INSERT OR REPLACE`` always assigns a fresh rowid) beyond either budget
-    are deleted and counted as evictions.
+    bytes: after every write the oldest rows beyond either budget are
+    deleted and counted as evictions.
     """
 
-    def __init__(
-        self,
-        path: str,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        super().__init__()
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.path = path
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        # One connection shared across threads, guarded by the cache lock:
-        # the service's scheduler resolves concurrent jobs against one
-        # shared cache from several executor threads.  The busy timeout and
-        # WAL journal additionally let separate processes share the file.
-        self._lock = threading.Lock()
-        self._connection = sqlite3.connect(
-            path, check_same_thread=False, timeout=30.0
-        )
-        try:
-            self._connection.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.OperationalError:  # pragma: no cover - read-only fs
-            pass
-        self._connection.execute(
-            "CREATE TABLE IF NOT EXISTS evaluations ("
-            " key TEXT PRIMARY KEY,"
-            " checksum TEXT NOT NULL,"
-            " payload TEXT NOT NULL)"
-        )
-        self._connection.commit()
-        self._budget = (
-            SQLiteEvictionBudget(
-                self._connection, "evaluations", "LENGTH(payload)",
-                max_entries, max_bytes,
-            )
-            if max_entries is not None or max_bytes is not None
-            else None
-        )
-
-    def _read(self, key: str) -> Optional[DesignEvaluation]:
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT checksum, payload FROM evaluations WHERE key = ?",
-                (key,),
-            ).fetchone()
-            if row is None:
-                return None
-            checksum, payload_text = row
-            try:
-                entry = {
-                    "checksum": checksum,
-                    "payload": json.loads(payload_text),
-                }
-            except json.JSONDecodeError:
-                entry = None
-            evaluation = _decode_entry(entry) if entry is not None else None
-            if evaluation is None:
-                self.stats.record("corrupt")
-                self._connection.execute(
-                    "DELETE FROM evaluations WHERE key = ?", (key,)
-                )
-                if self._budget is not None:
-                    self._budget.removed(len(payload_text))
-                self._connection.commit()
-            return evaluation
-
-    def _write(self, key: str, evaluation: DesignEvaluation) -> None:
-        entry = _encode_entry(evaluation)
-        payload_text = json.dumps(entry["payload"], sort_keys=True)
-        with self._lock:
-            old_size = (
-                self._budget.size_of(key) if self._budget is not None else None
-            )
-            self._connection.execute(
-                "INSERT OR REPLACE INTO evaluations (key, checksum, payload)"
-                " VALUES (?, ?, ?)",
-                (key, entry["checksum"], payload_text),
-            )
-            if self._budget is not None:
-                self._budget.replaced(old_size, len(payload_text))
-                self.stats.record("evictions", self._budget.evict())
-            self._connection.commit()
-
-    def __len__(self) -> int:
-        with self._lock:
-            (count,) = self._connection.execute(
-                "SELECT COUNT(*) FROM evaluations"
-            ).fetchone()
-            return int(count)
-
-    def size_bytes(self) -> Optional[int]:
-        with self._lock:
-            (total,) = self._connection.execute(
-                "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM evaluations"
-            ).fetchone()
-            return int(total)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._connection.execute("DELETE FROM evaluations")
-            if self._budget is not None:
-                self._budget.cleared()
-            self._connection.commit()
-
-    def close(self) -> None:
-        """Close the underlying database connection."""
-        self._connection.close()
+    codec = EvaluationCodec()
+    tier = "result_cache"
 
 
 def open_cache(
     path: Optional[str] = None,
     max_entries: Optional[int] = None,
     max_bytes: Optional[int] = None,
-) -> ResultCache:
+) -> Store:
     """Open the right cache backend for ``path``.
 
     ``None`` gives an in-memory cache, a path ending in ``.sqlite`` / ``.db``

@@ -11,7 +11,7 @@ searches and the resilience analysis accept either interchangeably — and adds:
   ``concurrent.futures`` thread or process pool.  Results are always returned
   in submission order, so parallel runs are bit-identical to serial ones.
 * **Content-addressed caching** — every result is stored in a
-  :class:`~repro.runtime.cache.ResultCache` under the stable fingerprints of
+  result cache (:mod:`repro.runtime.cache`) under the stable fingerprints of
   :mod:`repro.core.fingerprint`; plugging in a persistent backend makes
   results shareable across runs and processes.  Duplicate designs inside one
   batch are deduplicated before any work is submitted, so evaluation counts
@@ -40,11 +40,12 @@ from ..core.quality import (
     relabel_evaluation,
     run_design_evaluation,
 )
+from ..core.store import Store
 from ..dsp.detection import PeakDetectionConfig
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import get_tracer, span as obs_span
 from ..signals.records import ECGRecord
-from .cache import MemoryResultCache, ResultCache
+from .cache import MemoryResultCache
 from .chunking import ChunkPolicy, chunked
 from .signal_store import open_signal_store, signal_store_spec
 from .telemetry import ProgressCallback, ProgressEvent, RuntimeTelemetry
@@ -215,7 +216,7 @@ class ExplorationRuntime:
         records: Union[ECGRecord, Sequence[ECGRecord]],
         detection_config: Optional[PeakDetectionConfig] = None,
         peak_tolerance_samples: int = 40,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[Store] = None,
         executor: str = "thread",
         max_workers: Optional[int] = None,
         chunk_policy: Optional[ChunkPolicy] = None,
@@ -240,7 +241,7 @@ class ExplorationRuntime:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        self.cache: ResultCache = cache if cache is not None else MemoryResultCache()
+        self.cache: Store = cache if cache is not None else MemoryResultCache()
         self.chunk_policy = chunk_policy or ChunkPolicy()
         self.progress = progress
         self.telemetry = RuntimeTelemetry()
@@ -512,10 +513,6 @@ class ExplorationRuntime:
         """Execution + cache snapshot, measured against the Fig. 11 model."""
         telemetry = self.telemetry
         stage_stats = self._core.stage_stats
-        cache_stats = self.cache.stats.as_dict()
-        size_bytes = self.cache.size_bytes()
-        if size_bytes is not None:
-            cache_stats["size_bytes"] = size_bytes
         return RuntimeStatistics(
             executor=self.executor_kind,
             max_workers=self.max_workers,
@@ -526,7 +523,7 @@ class ExplorationRuntime:
             busy_s=telemetry.busy_s,
             modeled_serial_s=telemetry.modeled_duration_s(cost_model),
             speedup_vs_model=telemetry.speedup_vs_model(cost_model),
-            cache=cache_stats,
+            cache=self.cache.report(),
             stage_hit_rate=stage_stats.hit_rate(),
             stage_cache=stage_stats.as_dict(),
             stage_cross_record_hits=stage_stats.total_cross_record_hits,

@@ -4,23 +4,24 @@ The stage-graph executor (:mod:`repro.core.stage_graph`) memoizes each stage
 run's output signal under a content-addressed node key.  Its default store is
 in-process memory; the backends here persist the node outputs so stage-level
 reuse survives across runs and is shareable between processes — the same
-trade-offs as the result caches of :mod:`repro.runtime.cache`, applied one
-level down the execution hierarchy:
+backends as the result caches of :mod:`repro.runtime.cache`
+(:mod:`repro.core.store`), bound to the ``.npy`` array codec instead:
 
 * :class:`MemorySignalStore` — re-export of the in-process LRU store (for
   symmetry with :func:`open_signal_store`).
-* :class:`JSONDirectorySignalStore` — one JSON file per node (dtype, shape
-  and base64-encoded payload); human-inspectable, trivially mergeable.
+* :class:`JSONDirectorySignalStore` — one checksummed ``.npy`` file per node;
+  inspectable, trivially mergeable.
 * :class:`SQLiteSignalStore` — one SQLite database file holding the signals
   as checksummed BLOBs; the right choice when many runs share one store.
 
-Every persisted node embeds a SHA-256 checksum; a corrupted entry is counted,
-dropped and reported as a miss, so the executor transparently recomputes the
-stage.  Persistent stores are additionally stamped with the stage-node key
-schema (:data:`~repro.core.fingerprint.STAGE_KEY_SCHEMA`) they were written
-under: on open, a store carrying a different (or no) schema tag has its
-entries purged and counted in ``stats.stale`` — prefix-chain-keyed nodes
-from before the input-addressed refactor are detected, never silently mixed.  All stores are size-capped (``max_entries``, and for the persistent
+A corrupted node is counted, dropped and reported as a miss, so the executor
+transparently recomputes the stage.  Persistent stores are stamped with the
+stage-node key schema (:data:`~repro.core.fingerprint.STAGE_KEY_SCHEMA`) and
+the value format they were written under: on open, a store carrying a
+different (or no) tag has its entries purged and counted in ``stats.stale``
+— prefix-chain-keyed nodes from before the input-addressed refactor, and
+nodes in the older base64/5-column layouts, are detected, never silently
+mixed.  All stores are size-capped (``max_entries``, and for the persistent
 backends also a ``max_bytes`` byte budget) with oldest-first eviction and
 eviction accounting, because a long exploration writes far more intermediate
 signals than final results.
@@ -31,31 +32,12 @@ thread pool of :class:`~repro.runtime.engine.ExplorationRuntime`.
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import json
-import os
-import sqlite3
-import threading
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-import numpy as np
-
-from ..core.fingerprint import STAGE_KEY_SCHEMA
 from ..core.stage_graph import DEFAULT_STORE_ENTRIES, MemoryStageStore
-from .cache import (
-    _CACHE_OPS,
-    DirectoryEvictionIndex,
-    SQLiteEvictionBudget,
-    read_schema_marker_file,
-    read_sqlite_schema_marker,
-    write_schema_marker_file,
-    write_sqlite_schema_marker,
-)
+from ..core.store import ArrayCodec, DirectoryStore, SQLiteStore, Store
 
 __all__ = [
-    "SignalStoreStats",
     "MemorySignalStore",
     "JSONDirectorySignalStore",
     "SQLiteSignalStore",
@@ -69,111 +51,15 @@ __all__ = [
 MemorySignalStore = MemoryStageStore
 
 
-@dataclass
-class SignalStoreStats:
-    """Hit/miss/eviction accounting of one persistent signal store.
-
-    ``stale`` counts entries purged on open because the store was written
-    under a different stage-node key schema (or none at all) — e.g. a store
-    populated by the pre-1.1 prefix-chain keys being opened by the
-    input-addressed executor.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    corrupt: int = 0
-    stale: int = 0
-
-    #: Tier label this stats object mirrors into ``repro_cache_ops_total``.
-    _METRICS_TIER = "signal_store"
-
-    def record(self, op: str, count: int = 1) -> None:
-        """Account ``count`` events of ``op``, mirroring them into the
-        process-wide ``repro_cache_ops_total{tier,op}`` counter."""
-        if not count:
-            return
-        setattr(self, op, getattr(self, op) + int(count))
-        _CACHE_OPS.labels(self._METRICS_TIER, op).inc(count)
-
-    @property
-    def lookups(self) -> int:
-        """Total number of ``get`` calls."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the store (0.0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict snapshot (telemetry / CLI reporting)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "stale": self.stale,
-            "hit_rate": self.hit_rate,
-        }
-
-
-# ------------------------------------------------------------ serialization
-def _encode_signal(signal: np.ndarray) -> Dict[str, object]:
-    signal = np.ascontiguousarray(signal)
-    data = base64.b64encode(signal.tobytes()).decode("ascii")
-    payload = {
-        "dtype": str(signal.dtype),
-        "shape": list(signal.shape),
-        "data": data,
-    }
-    payload["checksum"] = _signal_checksum(payload)
-    return payload
-
-
-def _signal_checksum(payload: Dict[str, object]) -> str:
-    text = json.dumps(
-        {k: payload[k] for k in ("dtype", "shape", "data")},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _decode_signal(payload: Dict[str, object]) -> Optional[np.ndarray]:
-    """Decode a persisted node; ``None`` when it fails verification."""
-    try:
-        if payload["checksum"] != _signal_checksum(payload):
-            return None
-        raw = base64.b64decode(payload["data"])
-        signal = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-        signal = signal.reshape(tuple(int(n) for n in payload["shape"]))
-    except (KeyError, TypeError, ValueError):
-        return None
-    signal = signal.copy()
-    signal.setflags(write=False)
-    return signal
-
-
-def _blob_checksum(dtype: str, shape: str, blob: bytes) -> str:
-    hasher = hashlib.sha256()
-    hasher.update(dtype.encode("utf-8"))
-    hasher.update(b"\x00")
-    hasher.update(shape.encode("utf-8"))
-    hasher.update(b"\x00")
-    hasher.update(blob)
-    return hasher.hexdigest()
-
-
-# ------------------------------------------------------------------ backends
-class JSONDirectorySignalStore:
-    """One checksummed JSON file per stage-graph node inside ``directory``.
+class JSONDirectorySignalStore(DirectoryStore):
+    """One checksummed ``.npy`` file per stage-graph node inside ``directory``.
 
     ``max_entries`` caps the node count, ``max_bytes`` the byte footprint;
     the oldest nodes beyond either budget are evicted after every put.
     """
+
+    codec = ArrayCodec()
+    tier = "signal_store"
 
     def __init__(
         self,
@@ -181,128 +67,18 @@ class JSONDirectorySignalStore:
         max_entries: Optional[int] = DEFAULT_STORE_ENTRIES,
         max_bytes: Optional[int] = None,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.directory = directory
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.stats = SignalStoreStats()
-        self._lock = threading.Lock()
-        os.makedirs(directory, exist_ok=True)
-        # Key-schema guard: a directory written under a different node-key
-        # schema (or none — pre-tagging stores) holds entries whose keys can
-        # never be produced again; purge them instead of letting them rot.
-        if read_schema_marker_file(directory) != STAGE_KEY_SCHEMA:
-            for name in os.listdir(directory):
-                if name.endswith(".signal.json"):
-                    self._remove_file(os.path.join(directory, name))
-                    self.stats.record("stale")
-            write_schema_marker_file(directory, STAGE_KEY_SCHEMA)
-        self._index = (
-            DirectoryEvictionIndex(directory, ".signal.json")
-            if max_entries is not None or max_bytes is not None
-            else None
-        )
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.signal.json")
-
-    def get(self, key: str) -> Optional[np.ndarray]:
-        """The stored signal for ``key`` (read-only), or ``None`` on a miss."""
-        path = self._path(key)
-        with self._lock:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except FileNotFoundError:
-                self.stats.record("misses")
-                return None
-            except (OSError, json.JSONDecodeError):
-                self.stats.record("corrupt")
-                self.stats.record("misses")
-                self._drop(path)
-                return None
-            signal = _decode_signal(payload)
-            if signal is None:
-                self.stats.record("corrupt")
-                self.stats.record("misses")
-                self._drop(path)
-                return None
-            self.stats.record("hits")
-            return signal
-
-    def put(self, key: str, signal: np.ndarray) -> None:
-        """Store ``signal`` under ``key`` (atomic write, then evict to cap)."""
-        path = self._path(key)
-        with self._lock:
-            self.stats.record("puts")
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(_encode_signal(signal), handle)
-            os.replace(tmp, path)
-            if self._index is not None:
-                self._index.record(path)
-                self.stats.record(
-                    "evictions",
-                    self._index.evict_over_budget(
-                        self.max_entries, self.max_bytes, self._remove_file
-                    ),
-                )
-
-    def _drop(self, path: str) -> None:
-        if self._index is not None:
-            self._index.forget(path)
-        self._remove_file(path)
-
-    @staticmethod
-    def _remove_file(path: str) -> None:
-        try:
-            os.remove(path)
-        except OSError:  # pragma: no cover - race with another process
-            pass
-
-    def _entry_paths(self) -> list:
-        return [
-            os.path.join(self.directory, name)
-            for name in os.listdir(self.directory)
-            if name.endswith(".signal.json")
-        ]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entry_paths())
-
-    def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
-
-    def size_bytes(self) -> int:
-        """Bytes currently held by the stored node files."""
-        with self._lock:
-            if self._index is not None:
-                return self._index.total_bytes
-            total = 0
-            for path in self._entry_paths():
-                try:
-                    total += os.path.getsize(path)
-                except OSError:  # pragma: no cover - race
-                    continue
-            return total
-
-    def clear(self) -> None:
-        """Drop every stored node (statistics are kept)."""
-        with self._lock:
-            for path in self._entry_paths():
-                self._drop(path)
+        super().__init__(directory, max_entries, max_bytes)
 
 
-class SQLiteSignalStore:
+class SQLiteSignalStore(SQLiteStore):
     """All stage-graph nodes in one SQLite database file.
 
     ``max_entries`` caps the row count, ``max_bytes`` the payload bytes;
     the oldest rows beyond either budget are evicted after every put.
     """
+
+    codec = ArrayCodec()
+    tier = "signal_store"
 
     def __init__(
         self,
@@ -310,158 +86,14 @@ class SQLiteSignalStore:
         max_entries: Optional[int] = DEFAULT_STORE_ENTRIES,
         max_bytes: Optional[int] = None,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.path = path
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.stats = SignalStoreStats()
-        self._lock = threading.Lock()
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        # One connection shared across the runtime's worker threads, guarded
-        # by the store lock.  The busy timeout and WAL journal let several
-        # processes (the warm-started worker pool) write the same store
-        # concurrently without "database is locked" failures.
-        self._connection = sqlite3.connect(
-            path, check_same_thread=False, timeout=30.0
-        )
-        try:
-            self._connection.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.OperationalError:  # pragma: no cover - e.g. read-only fs
-            pass
-        self._connection.execute(
-            "CREATE TABLE IF NOT EXISTS signals ("
-            " key TEXT PRIMARY KEY,"
-            " dtype TEXT NOT NULL,"
-            " shape TEXT NOT NULL,"
-            " checksum TEXT NOT NULL,"
-            " payload BLOB NOT NULL)"
-        )
-        # Key-schema guard (see JSONDirectorySignalStore): rows written under
-        # a different node-key schema are unreachable by the current keys —
-        # purge them and restamp rather than mixing schemes in one table.
-        if read_sqlite_schema_marker(self._connection) != STAGE_KEY_SCHEMA:
-            (count,) = self._connection.execute(
-                "SELECT COUNT(*) FROM signals"
-            ).fetchone()
-            self._connection.execute("DELETE FROM signals")
-            self.stats.record("stale", int(count))
-            write_sqlite_schema_marker(self._connection, STAGE_KEY_SCHEMA)
-        self._connection.commit()
-        self._budget = (
-            SQLiteEvictionBudget(
-                self._connection, "signals", "LENGTH(payload)",
-                max_entries, max_bytes,
-            )
-            if max_entries is not None or max_bytes is not None
-            else None
-        )
-
-    def get(self, key: str) -> Optional[np.ndarray]:
-        """The stored signal for ``key`` (read-only), or ``None`` on a miss."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT dtype, shape, checksum, payload FROM signals"
-                " WHERE key = ?",
-                (key,),
-            ).fetchone()
-            if row is None:
-                self.stats.record("misses")
-                return None
-            dtype, shape, checksum, blob = row
-            signal = self._decode_row(dtype, shape, checksum, blob)
-            if signal is None:
-                self.stats.record("corrupt")
-                self.stats.record("misses")
-                self._connection.execute(
-                    "DELETE FROM signals WHERE key = ?", (key,)
-                )
-                if self._budget is not None:
-                    self._budget.removed(len(blob))
-                self._connection.commit()
-                return None
-            self.stats.record("hits")
-            return signal
-
-    @staticmethod
-    def _decode_row(
-        dtype: str, shape: str, checksum: str, blob: bytes
-    ) -> Optional[np.ndarray]:
-        if _blob_checksum(dtype, shape, blob) != checksum:
-            return None
-        try:
-            parsed: Tuple[int, ...] = tuple(int(n) for n in json.loads(shape))
-            signal = np.frombuffer(blob, dtype=np.dtype(dtype)).reshape(parsed)
-        except (TypeError, ValueError, json.JSONDecodeError):
-            return None
-        signal = signal.copy()
-        signal.setflags(write=False)
-        return signal
-
-    def put(self, key: str, signal: np.ndarray) -> None:
-        """Store ``signal`` under ``key`` and evict oldest rows over the cap."""
-        signal = np.ascontiguousarray(signal)
-        dtype = str(signal.dtype)
-        shape = json.dumps(list(signal.shape))
-        blob = signal.tobytes()
-        with self._lock:
-            self.stats.record("puts")
-            old_size = (
-                self._budget.size_of(key) if self._budget is not None else None
-            )
-            self._connection.execute(
-                "INSERT OR REPLACE INTO signals"
-                " (key, dtype, shape, checksum, payload) VALUES (?, ?, ?, ?, ?)",
-                (key, dtype, shape, _blob_checksum(dtype, shape, blob), blob),
-            )
-            if self._budget is not None:
-                self._budget.replaced(old_size, len(blob))
-                self.stats.record("evictions", self._budget.evict())
-            self._connection.commit()
-
-    def size_bytes(self) -> int:
-        """Payload bytes currently held by the stored nodes."""
-        with self._lock:
-            (total,) = self._connection.execute(
-                "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM signals"
-            ).fetchone()
-            return int(total)
-
-    def __len__(self) -> int:
-        with self._lock:
-            (count,) = self._connection.execute(
-                "SELECT COUNT(*) FROM signals"
-            ).fetchone()
-            return int(count)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT 1 FROM signals WHERE key = ?", (key,)
-            ).fetchone()
-            return row is not None
-
-    def clear(self) -> None:
-        """Drop every stored node (statistics are kept)."""
-        with self._lock:
-            self._connection.execute("DELETE FROM signals")
-            if self._budget is not None:
-                self._budget.cleared()
-            self._connection.commit()
-
-    def close(self) -> None:
-        """Close the underlying database connection."""
-        self._connection.close()
+        super().__init__(path, max_entries, max_bytes)
 
 
 def open_signal_store(
     path: Optional[str] = None,
     max_entries: Optional[int] = DEFAULT_STORE_ENTRIES,
     max_bytes: Optional[int] = None,
-):
+) -> Store:
     """Open the right signal-store backend for ``path``.
 
     ``None`` gives the in-process :class:`MemorySignalStore`, a path ending

@@ -33,11 +33,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..arithmetic.compiled import registry_info
+from ..core.store import Store
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import get_tracer, span as obs_span
-from ..runtime.cache import MemoryResultCache, ResultCache
+from ..runtime.cache import MemoryResultCache
 from ..runtime.chunking import ChunkPolicy
 from ..runtime.engine import ExplorationRuntime
+from ..runtime.signal_store import MemorySignalStore
 from ..signals.records import load_record
 from .jobs import (
     CANCELLED,
@@ -92,25 +94,27 @@ _EVENTS_DROPPED = obs_metrics.counter(
 class RuntimeProvider:
     """Lazily builds one :class:`ExplorationRuntime` per record workload.
 
-    All runtimes share the provider's result cache and signal store; keys
-    are content-addressed, so results from different workloads coexist in
-    one backend without collisions.
+    All runtimes share the provider's result cache and signal store (both
+    in-memory unless given); keys are content-addressed, so results from
+    different workloads coexist in one backend without collisions.
     """
 
     def __init__(
         self,
         executor: str = "thread",
         max_workers: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
-        signal_store: Optional[object] = None,
+        cache: Optional[Store] = None,
+        signal_store: Optional[Store] = None,
         chunk_policy: Optional[ChunkPolicy] = None,
         default_records: Tuple[str, ...] = ("16265",),
         default_duration_s: float = 10.0,
     ) -> None:
         self.executor = executor
         self.max_workers = max_workers
-        self.cache: ResultCache = cache if cache is not None else MemoryResultCache()
-        self.signal_store = signal_store
+        self.cache: Store = cache if cache is not None else MemoryResultCache()
+        self.signal_store: Store = (
+            signal_store if signal_store is not None else MemorySignalStore()
+        )
         self.chunk_policy = chunk_policy
         self.default_records = tuple(default_records)
         self.default_duration_s = default_duration_s
@@ -146,26 +150,14 @@ class RuntimeProvider:
 
     def statistics(self) -> Dict[str, object]:
         """Cache, signal-store and per-workload telemetry (for ``/stats``)."""
-        cache_stats = self.cache.stats.as_dict()
-        cache_stats["entries"] = len(self.cache)
-        size_bytes = self.cache.size_bytes()
-        if size_bytes is not None:
-            cache_stats["size_bytes"] = size_bytes
         doc: Dict[str, object] = {
-            "result_cache": cache_stats,
+            "result_cache": self.cache.report(),
+            "signal_store": self.signal_store.report(),
             "workloads": [],
             # Compiled-LUT registry footprint (process-wide: every workload's
             # approximate arithmetic runs through the same tables).
             "arithmetic": registry_info(),
         }
-        store = self.signal_store
-        if store is not None:
-            store_stats = getattr(store, "stats", None)
-            if store_stats is not None:
-                stats_doc = store_stats.as_dict()
-                if hasattr(store, "size_bytes"):
-                    stats_doc["size_bytes"] = store.size_bytes()
-                doc["signal_store"] = stats_doc
         with self._lock:
             runtimes = dict(self._runtimes)
         for (names, duration_s), runtime in runtimes.items():

@@ -134,7 +134,7 @@ class TestMemoryStageStore:
         store.put("b", np.ones(4, dtype=np.int64))
         store.get("a")  # refresh: "b" becomes least recently used
         store.put("c", np.full(4, 2, dtype=np.int64))
-        assert store.evictions == 1
+        assert store.stats.evictions == 1
         assert "a" in store and "c" in store and "b" not in store
 
     def test_rejects_nonpositive_cap(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.core import DesignEvaluator, DesignPoint
@@ -16,6 +17,7 @@ from repro.runtime.cache import (
     open_cache,
     serialize_evaluation,
 )
+from repro.runtime.signal_store import JSONDirectorySignalStore
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +82,13 @@ class TestJSONDirectoryCache:
                                                     sample_evaluation):
         cache = JSONDirectoryCache(str(tmp_path / "cache"))
         cache.put("k", sample_evaluation)
-        entry_path = os.path.join(cache.directory, "k.json")
-        with open(entry_path, "r", encoding="utf-8") as handle:
-            entry = json.load(handle)
-        entry["payload"]["psnr_db"] = 999.0  # checksum no longer matches
-        with open(entry_path, "w", encoding="utf-8") as handle:
-            json.dump(entry, handle)
+        entry_path = cache._path("k")
+        with open(entry_path, "rb") as handle:
+            checksum, payload = handle.read().split(b"\n", 1)
+        entry = json.loads(payload)
+        entry["psnr_db"] = 999.0  # checksum no longer matches
+        with open(entry_path, "wb") as handle:
+            handle.write(checksum + b"\n" + json.dumps(entry).encode())
 
         assert cache.get("k") is None
         assert cache.stats.corrupt == 1
@@ -94,7 +97,7 @@ class TestJSONDirectoryCache:
     def test_truncated_file_is_detected(self, tmp_path, sample_evaluation):
         cache = JSONDirectoryCache(str(tmp_path / "cache"))
         cache.put("k", sample_evaluation)
-        entry_path = os.path.join(cache.directory, "k.json")
+        entry_path = cache._path("k")
         with open(entry_path, "w", encoding="utf-8") as handle:
             handle.write('{"checksum": "abc", "payl')
         assert cache.get("k") is None
@@ -119,6 +122,30 @@ class TestJSONDirectoryCache:
     def test_rejects_nonpositive_cap(self, tmp_path):
         with pytest.raises(ValueError):
             JSONDirectoryCache(str(tmp_path / "cache"), max_entries=0)
+
+
+class TestSharedDirectory:
+    """A result cache and a signal store in one directory stay disjoint."""
+
+    def test_cache_sees_only_its_own_entries(self, tmp_path, sample_evaluation):
+        path = str(tmp_path / "shared")
+        signals = JSONDirectorySignalStore(path)
+        signals.put("node", np.arange(8, dtype=np.int64))
+        cache = JSONDirectoryCache(path, max_entries=1)
+        assert len(cache) == 0
+        cache.put("k", sample_evaluation)
+        assert cache.stats.evictions == 0
+        np.testing.assert_array_equal(
+            signals.get("node"), np.arange(8, dtype=np.int64)
+        )
+        cache.clear()
+        assert len(cache) == 0 and len(signals) == 1
+        cache.put("k", sample_evaluation)
+        signals.clear()
+        assert cache.get("k") == sample_evaluation
+        # Reopening either store finds its own schema marker intact.
+        assert JSONDirectoryCache(path).stats.stale == 0
+        assert JSONDirectorySignalStore(path).stats.stale == 0
 
 
 class TestSQLiteCache:

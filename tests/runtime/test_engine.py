@@ -187,13 +187,17 @@ class TestCorruptionRecovery:
             assert runtime.evaluation_count == 1
 
         # Flip a metric inside the stored payload without fixing the checksum.
-        (entry_name,) = os.listdir(cache_dir)
+        (entry_name,) = [
+            name for name in os.listdir(cache_dir)
+            if name.endswith(".evaluation")
+        ]
         entry_path = os.path.join(cache_dir, entry_name)
-        with open(entry_path, "r", encoding="utf-8") as handle:
-            entry = json.load(handle)
-        entry["payload"]["peak_accuracy"] = 0.0
-        with open(entry_path, "w", encoding="utf-8") as handle:
-            json.dump(entry, handle)
+        with open(entry_path, "rb") as handle:
+            checksum, payload = handle.read().split(b"\n", 1)
+        entry = json.loads(payload)
+        entry["peak_accuracy"] = 0.0
+        with open(entry_path, "wb") as handle:
+            handle.write(checksum + b"\n" + json.dumps(entry).encode())
 
         with ExplorationRuntime([tiny_record], executor="serial",
                                 cache=JSONDirectoryCache(cache_dir)) as runtime:

@@ -7,7 +7,7 @@ stage graph backed by that store must be bit-identical to cold execution.
 
 from __future__ import annotations
 
-import json
+import io
 import os
 
 import numpy as np
@@ -79,12 +79,7 @@ class TestSignalStoreContract:
             for index in range(5):
                 capped.put(f"k{index}", np.full(8, index, dtype=np.int64))
             assert len(capped) == 2
-            evictions = (
-                capped.evictions
-                if kind == "memory"
-                else capped.stats.evictions
-            )
-            assert evictions == 3
+            assert capped.stats.evictions == 3
             # The newest entries survive.
             assert capped.get("k4") is not None
             if kind == "sqlite":
@@ -129,7 +124,7 @@ class TestKeySchemaGuard:
         store.put("old-node", np.arange(8, dtype=np.int64))
         # Simulate a store written before schema tagging (or under the
         # prefix-chain scheme): remove the marker the store just wrote.
-        os.remove(os.path.join(path, "_schema.json"))
+        os.remove(store._marker_path())
         reopened = JSONDirectorySignalStore(path)
         assert reopened.stats.stale == 1
         assert reopened.get("old-node") is None
@@ -139,8 +134,8 @@ class TestKeySchemaGuard:
         path = str(tmp_path / "signals")
         store = JSONDirectorySignalStore(path)
         store.put("old-node", np.arange(8, dtype=np.int64))
-        with open(os.path.join(path, "_schema.json"), "w") as handle:
-            json.dump({"schema": "prefix-chain-v0"}, handle)
+        with open(store._marker_path(), "w") as handle:
+            handle.write("prefix-chain-v0")
         reopened = JSONDirectorySignalStore(path)
         assert reopened.stats.stale == 1
         assert "old-node" not in reopened
@@ -150,7 +145,7 @@ class TestKeySchemaGuard:
         store = SQLiteSignalStore(path)
         store.put("a", np.arange(8, dtype=np.int64))
         store.put("b", np.arange(8, dtype=np.int64))
-        store._connection.execute("DELETE FROM meta WHERE key = 'schema'")
+        store._connection.execute("DELETE FROM meta WHERE key = 'schema:signals'")
         store._connection.commit()
         store.close()
         reopened = SQLiteSignalStore(path)
@@ -179,11 +174,12 @@ class TestCorruptionRecovery:
         store = JSONDirectorySignalStore(str(tmp_path / "signals"))
         store.put("k", np.arange(8, dtype=np.int64))
         path = store._path("k")
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload["shape"] = [4]  # checksum no longer matches
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        with open(path, "rb") as handle:
+            checksum = handle.read().split(b"\n", 1)[0]
+        buffer = io.BytesIO()
+        np.save(buffer, np.arange(4, dtype=np.int64))  # checksum mismatch
+        with open(path, "wb") as handle:
+            handle.write(checksum + b"\n" + buffer.getvalue())
         assert store.get("k") is None
         assert store.stats.corrupt == 1
         assert not os.path.exists(path)

@@ -191,6 +191,10 @@ class TestStatsEndpoint:
         assert cache["puts"] >= 1
         assert "evictions" in cache
         assert cache["entries"] >= 1
+        # Started without a signal store: the in-memory one reports as well.
+        signals = stats["runtime"]["signal_store"]
+        assert signals["puts"] >= 1 and "hits" in signals
+        assert signals["entries"] >= 1
         workloads = stats["runtime"]["workloads"]
         assert workloads and workloads[0]["records"] == ["16265"]
         assert "stage_hit_rate" in workloads[0]
