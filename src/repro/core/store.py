@@ -50,6 +50,7 @@ import functools
 import hashlib
 import io
 import os
+import re
 import sqlite3
 import threading
 from collections import OrderedDict
@@ -200,6 +201,10 @@ def _checksum(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+#: Every key is a SHA-256 hex digest (:mod:`repro.core.fingerprint`).
+_KEY = re.compile("[0-9a-f]{64}")
+
+
 # ------------------------------------------------------------------ backends
 class Store:
     """Content-addressed store of one codec's values (abstract base).
@@ -310,7 +315,8 @@ class PersistentStore(Store):
     """Checksummed, schema-tagged, budget-evicted entries on disk.
 
     Subclasses supply the I/O primitives: ``_read`` / ``_write`` /
-    ``_remove`` one entry, ``_scan`` the entries oldest first, ``_purge``
+    ``_remove`` one entry, ``_scan`` the entries oldest first (to seed the
+    budget index), ``_count`` / ``_total_bytes`` them cheaply, ``_purge``
     them all and read/write the schema marker.
     """
 
@@ -376,14 +382,14 @@ class PersistentStore(Store):
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(1 for _ in self._scan())
+            return self._count()
 
     def size_bytes(self) -> int:
         """Bytes currently held by the stored entries."""
         with self._lock:
             if self._index is not None:
                 return self._indexed_bytes
-            return sum(size for _, size in self._scan())
+            return self._total_bytes()
 
     def clear(self) -> None:
         """Drop every entry (statistics are kept)."""
@@ -454,34 +460,43 @@ class DirectoryStore(PersistentStore):
         except OSError:  # pragma: no cover - race with another process
             pass
 
-    def _scan(self) -> Iterator[Tuple[str, int]]:
-        suffix = self.codec.suffix
-        found = []
+    def _entries(self, suffix: str) -> Iterator[Tuple[str, str]]:
+        """``(path, key)`` of every ``<key><suffix>`` file: other files,
+        including other codecs' entries, are not this store's."""
         for name in os.listdir(self.directory):
-            if not name.endswith(suffix):
-                continue
+            if name.endswith(suffix):
+                yield os.path.join(self.directory, name), name[: -len(suffix)]
+
+    def _sizes(self) -> Iterator[Tuple[float, str, int]]:
+        for path, key in self._entries(self.codec.suffix):
             try:
-                stat = os.stat(os.path.join(self.directory, name))
+                stat = os.stat(path)
             except OSError:  # pragma: no cover - race with another process
                 continue
-            found.append((stat.st_mtime, name[: -len(suffix)], stat.st_size))
-        return ((key, int(size)) for _, key, size in sorted(found))
+            yield stat.st_mtime, key, stat.st_size
+
+    def _scan(self) -> Iterator[Tuple[str, int]]:
+        return ((key, int(size)) for _, key, size in sorted(self._sizes()))
+
+    def _count(self) -> int:
+        return sum(1 for _ in self._entries(self.codec.suffix))
+
+    def _total_bytes(self) -> int:
+        return sum(int(size) for _, _, size in self._sizes())
 
     def _purge(self) -> int:
-        purged = 0
-        legacy = self.codec.legacy_suffix
-        for name in os.listdir(self.directory):
-            if name.endswith(self.codec.suffix) or (
-                # Pre-tagging entries were <hex key><legacy suffix>; the stem
-                # test keeps a ".json" legacy suffix off other stores' files.
-                legacy is not None
-                and name.endswith(legacy)
-                and "." not in name[: -len(legacy)]
-                and not name.startswith("_")
-            ):
-                self._unlink(os.path.join(self.directory, name))
-                purged += 1
-        return purged
+        doomed = [path for path, _ in self._entries(self.codec.suffix)]
+        if self.codec.legacy_suffix is not None:
+            # Pre-tagging stores held <key><legacy suffix> files; the key
+            # test keeps a ".json" legacy suffix off every other file.
+            doomed += [
+                path
+                for path, key in self._entries(self.codec.legacy_suffix)
+                if _KEY.fullmatch(key)
+            ]
+        for path in doomed:
+            self._unlink(path)
+        return len(doomed)
 
     def _read_marker(self) -> Optional[str]:
         try:
@@ -570,15 +585,25 @@ class SQLiteStore(PersistentStore):
             ).fetchall()
         )
 
-    def _purge(self) -> int:
-        # Dropping (not just emptying) the table also upgrades a table
-        # written under an older column layout.
+    def _count(self) -> int:
         (count,) = self._connection.execute(
             f"SELECT COUNT(*) FROM {self._table}"
         ).fetchone()
+        return int(count)
+
+    def _total_bytes(self) -> int:
+        (total,) = self._connection.execute(
+            f"SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM {self._table}"
+        ).fetchone()
+        return int(total)
+
+    def _purge(self) -> int:
+        # Dropping (not just emptying) the table also upgrades a table
+        # written under an older column layout.
+        count = self._count()
         self._connection.execute(f"DROP TABLE {self._table}")
         self._create_table()
-        return int(count)
+        return count
 
     def _read_marker(self) -> Optional[str]:
         row = self._connection.execute(

@@ -39,7 +39,6 @@ from ..obs.tracing import get_tracer, span as obs_span
 from ..runtime.cache import MemoryResultCache
 from ..runtime.chunking import ChunkPolicy
 from ..runtime.engine import ExplorationRuntime
-from ..runtime.signal_store import MemorySignalStore
 from ..signals.records import load_record
 from .jobs import (
     CANCELLED,
@@ -94,9 +93,11 @@ _EVENTS_DROPPED = obs_metrics.counter(
 class RuntimeProvider:
     """Lazily builds one :class:`ExplorationRuntime` per record workload.
 
-    All runtimes share the provider's result cache and signal store (both
-    in-memory unless given); keys are content-addressed, so results from
-    different workloads coexist in one backend without collisions.
+    All runtimes share the provider's result cache (in-memory unless given)
+    and, when one is given, its signal store; keys are content-addressed, so
+    results from different workloads coexist in one backend without
+    collisions.  Without a signal store each runtime keeps its own bounded
+    in-memory stage store.
     """
 
     def __init__(
@@ -112,9 +113,7 @@ class RuntimeProvider:
         self.executor = executor
         self.max_workers = max_workers
         self.cache: Store = cache if cache is not None else MemoryResultCache()
-        self.signal_store: Store = (
-            signal_store if signal_store is not None else MemorySignalStore()
-        )
+        self.signal_store = signal_store
         self.chunk_policy = chunk_policy
         self.default_records = tuple(default_records)
         self.default_duration_s = default_duration_s
@@ -152,27 +151,30 @@ class RuntimeProvider:
         """Cache, signal-store and per-workload telemetry (for ``/stats``)."""
         doc: Dict[str, object] = {
             "result_cache": self.cache.report(),
-            "signal_store": self.signal_store.report(),
             "workloads": [],
             # Compiled-LUT registry footprint (process-wide: every workload's
             # approximate arithmetic runs through the same tables).
             "arithmetic": registry_info(),
         }
+        if self.signal_store is not None:
+            doc["signal_store"] = self.signal_store.report()
         with self._lock:
             runtimes = dict(self._runtimes)
         for (names, duration_s), runtime in runtimes.items():
-            doc["workloads"].append(
-                {
-                    "records": list(names),
-                    "duration_s": duration_s,
-                    "telemetry": runtime.telemetry.snapshot(),
-                    "stage_hit_rate": runtime.stage_stats.hit_rate(),
-                    "stage_cross_record_hits": (
-                        runtime.stage_stats.total_cross_record_hits
-                    ),
-                    "stage_warm_hits": runtime.stage_stats.total_warm_hits,
-                }
-            )
+            workload: Dict[str, object] = {
+                "records": list(names),
+                "duration_s": duration_s,
+                "telemetry": runtime.telemetry.snapshot(),
+                "stage_hit_rate": runtime.stage_stats.hit_rate(),
+                "stage_cross_record_hits": (
+                    runtime.stage_stats.total_cross_record_hits
+                ),
+                "stage_warm_hits": runtime.stage_stats.total_warm_hits,
+            }
+            if self.signal_store is None:
+                # The runtime's own in-memory stage store.
+                workload["signal_store"] = runtime.stage_memo.store.report()
+            doc["workloads"].append(workload)
         return doc
 
 

@@ -232,9 +232,11 @@ def _legacy_signal_checksum(dtype: str, shape: str, blob: bytes) -> str:
     return hasher.hexdigest()
 
 
+# Every key is a SHA-256 hex digest, as in the stores being upgraded.
+KEY_A, KEY_B, KEY_K = ("a" * 64, "b" * 64, "c" * 64)
 LEGACY_SIGNALS = {
-    "a": np.arange(16, dtype=np.int64),
-    "b": np.arange(-8, 8, dtype=np.int64),
+    KEY_A: np.arange(16, dtype=np.int64),
+    KEY_B: np.arange(-8, 8, dtype=np.int64),
 }
 
 
@@ -268,12 +270,12 @@ class TestUpgradeFromLegacyLayouts:
 
         store = SQLiteSignalStore(path)
         assert store.stats.stale == len(LEGACY_SIGNALS)
-        assert len(store) == 0 and store.get("a") is None
-        store.put("a", LEGACY_SIGNALS["a"])
+        assert len(store) == 0 and store.get(KEY_A) is None
+        store.put(KEY_A, LEGACY_SIGNALS[KEY_A])
         store.close()
         reopened = SQLiteSignalStore(path)
         assert reopened.stats.stale == 0
-        np.testing.assert_array_equal(reopened.get("a"), LEGACY_SIGNALS["a"])
+        np.testing.assert_array_equal(reopened.get(KEY_A), LEGACY_SIGNALS[KEY_A])
         reopened.close()
 
     def test_json_directory_signal_store_with_base64_entries(self, tmp_path):
@@ -296,12 +298,12 @@ class TestUpgradeFromLegacyLayouts:
 
         store = JSONDirectorySignalStore(str(path))
         assert store.stats.stale == len(LEGACY_SIGNALS)
-        assert len(store) == 0 and store.get("a") is None
+        assert len(store) == 0 and store.get(KEY_A) is None
         assert not any(name.endswith(".signal.json") for name in os.listdir(path))
-        store.put("a", LEGACY_SIGNALS["a"])
+        store.put(KEY_A, LEGACY_SIGNALS[KEY_A])
         reopened = JSONDirectorySignalStore(str(path))
         assert reopened.stats.stale == 0
-        np.testing.assert_array_equal(reopened.get("a"), LEGACY_SIGNALS["a"])
+        np.testing.assert_array_equal(reopened.get(KEY_A), LEGACY_SIGNALS[KEY_A])
 
     def test_result_caches_in_the_untagged_layout(self, tmp_path):
         path = str(tmp_path / "cache.sqlite")
@@ -311,20 +313,39 @@ class TestUpgradeFromLegacyLayouts:
             " checksum TEXT NOT NULL, payload TEXT NOT NULL)"
         )
         connection.execute(
-            "INSERT INTO evaluations VALUES ('k', 'abc', '{\"psnr_db\": 1}')"
+            "INSERT INTO evaluations VALUES (?, 'abc', '{\"psnr_db\": 1}')",
+            (KEY_K,),
         )
         connection.commit()
         connection.close()
         cache = SQLiteResultCache(path)
-        assert cache.stats.stale == 1 and cache.get("k") is None
+        assert cache.stats.stale == 1 and cache.get(KEY_K) is None
         cache.close()
 
         directory = tmp_path / "cache"
         directory.mkdir()
-        (directory / "k.json").write_text('{"checksum": "abc", "payload": {}}')
+        (directory / f"{KEY_K}.json").write_text(
+            '{"checksum": "abc", "payload": {}}'
+        )
         cache = JSONDirectoryCache(str(directory))
-        assert cache.stats.stale == 1 and cache.get("k") is None
+        assert cache.stats.stale == 1 and cache.get(KEY_K) is None
         assert os.listdir(directory) == ["_evaluations.schema"]
+
+    def test_upgrade_leaves_files_that_are_not_entries(self, tmp_path):
+        # Opening a store on a directory of other JSON files (a project
+        # root, a results folder) must not take them for legacy entries.
+        others = ["notes.json", "BENCHMARK.json", "_schema.json", "a.b.json"]
+        for name in others:
+            (tmp_path / name).write_text("{}")
+        cache = JSONDirectoryCache(str(tmp_path))
+        signals = JSONDirectorySignalStore(str(tmp_path))
+        assert cache.stats.stale == 0 and signals.stats.stale == 0
+        assert len(cache) == 0 and len(signals) == 0
+        cache.clear()
+        signals.clear()
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            others + ["_evaluations.schema", "_signals.schema"]
+        )
 
 
 if __name__ == "__main__":
