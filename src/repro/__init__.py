@@ -7,7 +7,7 @@ Subpackages
 -----------
 ``repro.arithmetic``
     Bit-accurate approximate adders/multipliers (elementary cells, ripple-
-    carry adders, recursive multipliers, vectorised engine).
+    carry adders, recursive multipliers, compiled LUT engine).
 ``repro.energy``
     65 nm synthesis cost database and compositional hardware cost model,
     sensor-node and software-platform energy models.

@@ -6,9 +6,9 @@ This subpackage implements the hardware substrate of XBioSiP:
 * elementary 2x2 multipliers (accurate + ``AppMultV1/V2``),
 * ripple-carry adders with ``k`` approximated LSB slices,
 * recursive 4x4 / 8x8 / 16x16 multipliers built from the elementary cells,
-* a fast vectorised NumPy engine, cross-validated against the scalar models,
-* a compiled LUT engine (slice-composed adds, 8x8 product LUTs,
-  constant-operand tables) that the word-level backends route through,
+* a compiled LUT engine (slice-composed adds, recursively built product
+  LUTs, constant-operand tables), cross-validated against the scalar models,
+  that the word-level backends route through,
 * :class:`~repro.arithmetic.library.ArithmeticBackend`, the word-level
   interface the DSP stages run on.
 """
@@ -65,12 +65,6 @@ from .compiled import (
 )
 from .rca import RippleCarryAdder
 from .recursive_multiplier import RecursiveMultiplier
-from .vectorized import (
-    vector_add,
-    vector_multiply,
-    vector_multiply_unsigned,
-    vector_subtract,
-)
 
 __all__ = [
     # bitvector
@@ -105,11 +99,6 @@ __all__ = [
     # composed blocks
     "RippleCarryAdder",
     "RecursiveMultiplier",
-    # vectorised engine
-    "vector_add",
-    "vector_subtract",
-    "vector_multiply",
-    "vector_multiply_unsigned",
     # compiled LUT engine
     "compiled_add",
     "compiled_subtract",

@@ -7,7 +7,7 @@ bit-accurate (possibly approximate) computation, and converts the resulting
 pattern back to a signed Python integer.
 
 These helpers are deliberately tiny and explicit; they are used by both the
-scalar reference engine and the vectorised NumPy engine.
+scalar reference engine and the compiled LUT engine.
 """
 
 from __future__ import annotations

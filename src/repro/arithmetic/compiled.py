@@ -1,11 +1,10 @@
 """Compiled LUT engine for the approximate arithmetic units.
 
-The vectorised engine in :mod:`repro.arithmetic.vectorized` already processes
-whole sample arrays, but it still walks the approximated region *bit by bit*
-in Python: a 32-bit add with ``k`` approximated LSBs issues up to ``k`` table
-lookups, and a 16x16 multiply recurses through ~77 array operations.  The
-approximate cells have tiny input domains, so all of that control flow can be
-*compiled away* into lookup tables once per configuration:
+The scalar models in :mod:`repro.arithmetic.rca` and
+:mod:`repro.arithmetic.recursive_multiplier` walk the approximated region one
+cell at a time.  The approximate cells have tiny input domains, so that
+control flow can be *compiled away* into lookup tables once per
+configuration:
 
 * **Slice-composed adds** — for each ``(adder_cell, slice_approx_bits)`` pair
   an 8-bit-slice table maps ``(a_byte, b_byte, carry_in)`` to
@@ -13,13 +12,13 @@ approximate cells have tiny input domains, so all of that control flow can be
   chained NumPy gathers (one per byte slice) instead of up to 32 per-bit
   Python iterations; the region above the approximation boundary is exact
   integer arithmetic, bit-identical to simulating accurate cells.
-* **Compiled multipliers** — the full approximate 8x8 unsigned-product LUT
-  (2^16 entries) is generated in one vectorised sweep of the existing
-  recursion (:func:`repro.arithmetic.vectorized._multiply_block`), so the
-  table is cross-validated against the engine the test-suite already proves
-  bit-identical to the scalar models.  A 16x16 multiply then performs a
-  single recursion level on top: 4 table gathers for the partial products
-  plus 3 slice-composed 32-bit adds — about 10 array operations.
+* **Compiled multipliers** — one recursion level of the paper's Fig. 7
+  multiplier (:func:`_split_product`: four sub-products, three
+  slice-composed accumulation adds) does both jobs.  A ``width``-bit product
+  LUT (widths 4 and 8, 2^(2*width) entries) is that level applied to every
+  operand pair over the ``width/2`` tables, bottoming out in the 2x2 cell's
+  own truth table; a 16x16 multiply is the same level over the 8x8 LUTs —
+  4 table gathers plus 3 adds, about 10 array operations.
 * **Constant-operand LUTs** — FIR taps multiply by fixed coefficients and
   the squarer is unary, so both collapse to a single 2^width-entry signed
   LUT per ``(configuration, constant)``: one gather per tap.
@@ -31,9 +30,9 @@ thread pools share tables and each table is built exactly once.  Process
 pools pre-warm the common tables via :func:`prewarm_tables` from their
 worker initializer.
 
-Everything here is bit-identical to the scalar reference models by
-construction *and* by test: ``tests/arithmetic/test_compiled.py``
-cross-validates exhaustively at 8 bits and property-tests the full widths.
+Everything here is bit-identical to the scalar reference models, checked by
+``tests/arithmetic/test_compiled.py``: exhaustively over small operand
+domains and property-tested at the paper's full 16/32-bit widths.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .bitvector import (
 )
 from .full_adders import ACCURATE_ADDER, ADDER_CELLS, FullAdderCell
 from .multipliers_2x2 import ACCURATE_MULT, MULTIPLIER_CELLS, Multiplier2x2Cell
-from .vectorized import _multiply_block
 
 __all__ = [
     "compiled_add",
@@ -76,6 +74,15 @@ _SLICE_MASK = (1 << _SLICE_BITS) - 1
 
 #: Operand width of the widest direct product LUT: 8x8 -> 2^16 entries.
 _BASE_WIDTH = 8
+
+#: Operand widths of the recursive multiplier.  Every intermediate value is
+#: an int64, so a product (``2*width`` bits) must fit in 63 bits and a
+#: 16x16 multiply is the widest the engine represents exactly.
+_MULTIPLIER_WIDTHS = (2, 4, 8, 16)
+
+#: Widest adder word: ``a + b + carry`` of two 62-bit words still fits an
+#: int64, one bit more overflows.
+_MAX_ADDER_WIDTH = 62
 
 _LUT_COMPILE_SECONDS = obs_metrics.histogram(
     "repro_lut_compile_seconds",
@@ -203,33 +210,27 @@ def _add_slice_table(cell: FullAdderCell, approx_bits: int) -> np.ndarray:
     return _REGISTRY.get(key, lambda: _build_add_slice_table(cell, approx_bits))
 
 
-def _build_product_table(
-    mult_cell: Multiplier2x2Cell,
-    adder_cell: FullAdderCell,
-    width: int,
-    approx_lsbs: int,
-) -> np.ndarray:
-    """Compile the full ``width x width`` unsigned-product LUT.
-
-    All ``2^(2*width)`` operand pairs are pushed through the existing
-    vectorised recursion in one sweep, which both generates the table and
-    cross-validates it: the recursion is the engine the test-suite proves
-    bit-identical to the scalar :class:`RecursiveMultiplier`.
-    """
-    operands = np.arange(1 << (2 * width), dtype=np.int64)
-    a = operands >> width
-    b = operands & np.int64(mask(width))
-    return _multiply_block(
-        a, b, width, 0, approx_lsbs, mult_cell.numpy_table(), adder_cell
-    )
-
-
 def _product_table(
     mult_cell: Multiplier2x2Cell,
     adder_cell: FullAdderCell,
     width: int,
     approx_lsbs: int,
 ) -> np.ndarray:
+    """The full ``width x width`` unsigned-product LUT.
+
+    Entry ``(a << width) | b`` holds the approximate product of ``a`` and
+    ``b``.  A build sends all ``2^(2*width)`` operand pairs through one
+    recursion level over the ``width/2`` tables in a single vectorised sweep.
+    """
+    if width == 2:
+        # The 2x2 cell is its own product table, whatever the budget.
+        return mult_cell.numpy_table()
+
+    def build() -> np.ndarray:
+        operands = np.arange(1 << (2 * width), dtype=np.int64)
+        a, b = operands >> width, operands & np.int64(mask(width))
+        return _split_product(a, b, width, approx_lsbs, mult_cell, adder_cell)
+
     key = (
         "product",
         mult_cell.content_key(),
@@ -237,9 +238,7 @@ def _product_table(
         width,
         approx_lsbs,
     )
-    return _REGISTRY.get(
-        key, lambda: _build_product_table(mult_cell, adder_cell, width, approx_lsbs)
-    )
+    return _REGISTRY.get(key, build)
 
 
 def _build_unary_table(
@@ -283,6 +282,21 @@ def _unary_table(
     )
 
 
+# ------------------------------------------------------------- validation
+def _check_multiplier_width(width: int) -> None:
+    if width not in _MULTIPLIER_WIDTHS:
+        raise ValueError(
+            f"multiplier width must be one of {_MULTIPLIER_WIDTHS}, got {width}"
+        )
+
+
+def _check_adder_width(width: int) -> None:
+    if not 1 <= width <= _MAX_ADDER_WIDTH:
+        raise ValueError(
+            f"adder width must be in [1, {_MAX_ADDER_WIDTH}], got {width}"
+        )
+
+
 # ------------------------------------------------------------------- adds
 def compiled_add(
     a: np.ndarray,
@@ -294,14 +308,12 @@ def compiled_add(
 ) -> np.ndarray:
     """Elementwise N-bit approximate addition via compiled slice tables.
 
-    Drop-in replacement for :func:`repro.arithmetic.vectorized.vector_add`:
-    same parameters, bit-identical results.  The approximated region is
-    covered by chained 8-bit-slice gathers (carry-out of one slice feeds the
-    next slice's index); everything above the boundary is exact integer
-    arithmetic.
+    Same parameters and results as :class:`RippleCarryAdder` applied
+    elementwise.  The approximated region is covered by chained 8-bit-slice
+    gathers (carry-out of one slice feeds the next slice's index);
+    everything above the boundary is exact integer arithmetic.
     """
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
+    _check_adder_width(width)
     ua = to_unsigned_array(np.asarray(a), width)
     ub = to_unsigned_array(np.asarray(b), width)
     k = max(0, min(approx_lsbs, width))
@@ -348,22 +360,54 @@ def compiled_subtract(
 
 
 # -------------------------------------------------------------- multiplies
-def _block_product(
+def _product(
     a: np.ndarray,
     b: np.ndarray,
-    local_approx: int,
+    width: int,
+    k: int,
     mult_cell: Multiplier2x2Cell,
     adder_cell: FullAdderCell,
 ) -> np.ndarray:
-    """Product of two ``_BASE_WIDTH``-bit blocks via the compiled 8x8 LUT."""
-    if local_approx <= 0:
+    """Unsigned product of ``width``-bit blocks with ``k`` approximated LSBs.
+
+    A block's behaviour only depends on how many of its own LSBs are
+    approximated, so sub-blocks at a bit offset reuse the same tables with
+    the budget shifted down by that offset.
+    """
+    if k <= 0:
         # Every cell in this sub-tree is accurate: exact multiplication is
         # bit-identical and skips the gather entirely.
         return a * b
-    table = _product_table(
-        mult_cell, adder_cell, _BASE_WIDTH, min(local_approx, 2 * _BASE_WIDTH)
-    )
-    return table[(a << _BASE_WIDTH) | b]
+    if width <= _BASE_WIDTH:
+        table = _product_table(mult_cell, adder_cell, width, min(k, 2 * width))
+        return table[(a << width) | b]
+    return _split_product(a, b, width, k, mult_cell, adder_cell)
+
+
+def _split_product(
+    a: np.ndarray,
+    b: np.ndarray,
+    width: int,
+    k: int,
+    mult_cell: Multiplier2x2Cell,
+    adder_cell: FullAdderCell,
+) -> np.ndarray:
+    """One level of the Fig. 7 recursion: four half-width sub-products
+    accumulated, in hardware order, by three ``2*width``-bit adds."""
+    half = width // 2
+    low = np.int64(mask(half))
+    a_low, a_high = a & low, a >> half
+    b_low, b_high = b & low, b >> half
+
+    accumulated = _product(a_low, b_low, half, k, mult_cell, adder_cell)
+    lh = _product(a_low, b_high, half, k - half, mult_cell, adder_cell)
+    hl = _product(a_high, b_low, half, k - half, mult_cell, adder_cell)
+    hh = _product(a_high, b_high, half, k - width, mult_cell, adder_cell)
+    for term in (lh << half, hl << half, hh << width):
+        accumulated = to_unsigned_array(
+            compiled_add(accumulated, term, 2 * width, k, adder_cell), 2 * width
+        )
+    return accumulated
 
 
 def compiled_multiply_unsigned(
@@ -376,47 +420,18 @@ def compiled_multiply_unsigned(
 ) -> np.ndarray:
     """Elementwise unsigned approximate multiplication via compiled LUTs.
 
-    Drop-in replacement for :func:`vector_multiply_unsigned`.  Widths up to 8
-    are a single direct LUT gather; width 16 (the paper's datapath) performs
-    one recursion level over the 8x8 LUTs with slice-composed accumulation
-    adds.  Wider operands fall back to the vectorised recursion (they are
-    outside the paper's design space).
+    Same parameters and results as
+    :meth:`RecursiveMultiplier.multiply_unsigned` applied elementwise.
+    Widths up to 8 are a single product-LUT gather; width 16 (the paper's
+    datapath) is one recursion level over the 8x8 LUTs.
     """
-    if width < 2 or width & (width - 1):
-        raise ValueError(f"width must be a power of two >= 2, got {width}")
+    _check_multiplier_width(width)
     ua = to_unsigned_array(np.asarray(a), width)
     ub = to_unsigned_array(np.asarray(b), width)
     k = max(0, min(approx_lsbs, 2 * width))
     if k == 0 or (mult_cell.is_exact and adder_cell.is_exact):
         return ua * ub
-
-    if width <= _BASE_WIDTH:
-        table = _product_table(mult_cell, adder_cell, width, k)
-        return table[(ua << width) | ub]
-
-    if width == 2 * _BASE_WIDTH:
-        half = _BASE_WIDTH
-        low = np.int64(mask(half))
-        a_low, a_high = ua & low, ua >> half
-        b_low, b_high = ub & low, ub >> half
-
-        # Sub-block behaviour only depends on (approx_lsbs - offset), so the
-        # cross terms at offset ``half`` and the high term at offset
-        # ``width`` reuse the same 8x8 LUT family with shifted budgets.
-        ll = _block_product(a_low, b_low, k, mult_cell, adder_cell)
-        lh = _block_product(a_low, b_high, k - half, mult_cell, adder_cell)
-        hl = _block_product(a_high, b_low, k - half, mult_cell, adder_cell)
-        hh = _block_product(a_high, b_high, k - width, mult_cell, adder_cell)
-
-        acc_width = 2 * width
-        accumulated = compiled_add(ll, lh << half, acc_width, k, adder_cell)
-        accumulated = to_unsigned_array(accumulated, acc_width)
-        accumulated = compiled_add(accumulated, hl << half, acc_width, k, adder_cell)
-        accumulated = to_unsigned_array(accumulated, acc_width)
-        accumulated = compiled_add(accumulated, hh << width, acc_width, k, adder_cell)
-        return to_unsigned_array(accumulated, acc_width)
-
-    return _multiply_block(ua, ub, width, 0, k, mult_cell.numpy_table(), adder_cell)
+    return _product(ua, ub, width, k, mult_cell, adder_cell)
 
 
 def compiled_multiply(
@@ -429,8 +444,9 @@ def compiled_multiply(
 ) -> np.ndarray:
     """Elementwise signed multiplication via a sign-magnitude wrapper.
 
-    Drop-in replacement for :func:`vector_multiply`; ``b`` may be a scalar
-    (it broadcasts), which the constant-operand paths rely on.
+    Same results as :meth:`RecursiveMultiplier.multiply` applied
+    elementwise; ``b`` may be a scalar (it broadcasts), which the
+    constant-operand paths rely on.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)

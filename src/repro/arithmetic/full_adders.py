@@ -90,9 +90,9 @@ class FullAdderCell:
     # Derived error statistics, filled in __post_init__.
     sum_errors: int = field(default=0, compare=False)
     cout_errors: int = field(default=0, compare=False)
-    # Lazily memoized derived tables (the vectorised and compiled engines ask
-    # for them once per word-level operation; rebuilding them from the truth
-    # table dominated the profile before they were cached here).
+    # Lazily memoized derived tables (the compiled engine and the content
+    # key ask for them repeatedly; rebuilding them from the truth table
+    # dominated the profile before they were cached here).
     _flat_tables: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -152,7 +152,7 @@ class FullAdderCell:
     def output_tables(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Return ``(sum_table, cout_table)`` indexed by ``A*4 + B*2 + Cin``.
 
-        Used by the vectorised engine to evaluate the cell via table lookups.
+        Used to evaluate the cell via table lookups and to hash its content.
         Memoized: the instance is frozen, so the derived tables never change.
         """
         cached = self._flat_tables
@@ -170,8 +170,9 @@ class FullAdderCell:
     def numpy_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Memoized ``(sum_table, cout_table)`` as NumPy int64 arrays.
 
-        The vectorised and compiled engines index these once per bit slice;
-        caching them avoids rebuilding two arrays for every word-level add.
+        The compiled engine indexes these once per bit slice of every
+        add-slice table it builds; caching them avoids rebuilding two arrays
+        per build.
         """
         cached = self._np_tables
         if cached is None:

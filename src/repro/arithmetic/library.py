@@ -4,8 +4,8 @@ The DSP stages of the Pan-Tompkins pipeline do not talk to individual full
 adders; they issue word-level operations ("add these two 32-bit values",
 "multiply these two 16-bit values").  :class:`ArithmeticBackend` packages an
 approximation configuration — word widths, number of approximated LSBs and the
-elementary cells to use — behind exactly that interface, with vectorised
-NumPy execution underneath.
+elementary cells to use — behind exactly that interface, with the compiled
+LUT engine (:mod:`repro.arithmetic.compiled`) underneath.
 
 A backend with ``approx_lsbs == 0`` (or :func:`accurate_backend`) behaves
 bit-for-bit like exact integer arithmetic and is used as the golden reference
@@ -20,6 +20,8 @@ from typing import List, Union
 import numpy as np
 
 from .compiled import (
+    _check_adder_width,
+    _check_multiplier_width,
     compiled_add,
     compiled_multiply,
     compiled_multiply_constant,
@@ -103,6 +105,8 @@ class ArithmeticBackend:
     def __post_init__(self) -> None:
         if self.approx_lsbs < 0:
             raise ValueError(f"approx_lsbs must be >= 0, got {self.approx_lsbs}")
+        _check_adder_width(self.adder_width)
+        _check_multiplier_width(self.multiplier_width)
         object.__setattr__(self, "_adder", _resolve_adder(self.adder_cell))
         object.__setattr__(self, "_multiplier", _resolve_multiplier(self.multiplier_cell))
 
@@ -130,8 +134,8 @@ class ArithmeticBackend:
 
         Used by the stage-execution engine to translate "output LSBs" into
         datapath LSBs (the stage output shift is added on top).  Constructed
-        via ``type(self)`` so subclasses (e.g. the legacy-engine test
-        harness) survive the translation.
+        via ``type(self)`` so subclasses (e.g. the reference backends of the
+        bit-identity tests) survive the translation.
         """
         return type(self)(
             approx_lsbs=approx_lsbs,

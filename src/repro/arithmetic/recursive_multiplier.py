@@ -17,8 +17,9 @@ adder slice that produces an output bit below ``k`` uses the approximate
 full-adder cell.  All remaining logic stays accurate, which bounds the error
 magnitude to the low-order region of the product.
 
-This is the scalar reference engine; the vectorised NumPy counterpart lives in
-:mod:`repro.arithmetic.vectorized` and is cross-validated against it.
+This is the scalar reference engine; the compiled LUT engine in
+:mod:`repro.arithmetic.compiled` runs the same recursion on whole arrays (its
+product tables are built by it) and is cross-validated against it.
 """
 
 from __future__ import annotations

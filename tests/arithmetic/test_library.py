@@ -6,6 +6,8 @@ import pytest
 from repro.arithmetic import (
     APPROX_ADD5,
     ArithmeticBackend,
+    RecursiveMultiplier,
+    RippleCarryAdder,
     accurate_backend,
     adder_names,
     multiplier_names,
@@ -92,6 +94,52 @@ class TestApproximateBackend:
     def test_negative_lsbs_rejected(self):
         with pytest.raises(ValueError):
             ArithmeticBackend(approx_lsbs=-1)
+
+
+class TestWordWidths:
+    """Widths the int64 engine cannot represent are refused at construction."""
+
+    @pytest.mark.parametrize("multiplier_width", [1, 6, 32, 64])
+    def test_unsupported_multiplier_width_rejected(self, multiplier_width):
+        with pytest.raises(ValueError):
+            ArithmeticBackend(approx_lsbs=4, multiplier_width=multiplier_width)
+
+    @pytest.mark.parametrize("adder_width", [0, 63, 64])
+    def test_unsupported_adder_width_rejected(self, adder_width):
+        with pytest.raises(ValueError):
+            ArithmeticBackend(approx_lsbs=4, adder_width=adder_width)
+
+    def test_widest_adder_matches_scalar(self):
+        backend = ArithmeticBackend(
+            approx_lsbs=10, adder_cell="ApproxAdd1", adder_width=62
+        )
+        scalar = RippleCarryAdder(62, 10, backend.resolved_adder)
+        a = np.array([2**61 - 1, -(2**61), 777, -5])
+        b = np.array([1, -1, -2**40, 2**40])
+        assert list(backend.add(a, b)) == [
+            scalar.add(int(x), int(y)) for x, y in zip(a, b)
+        ]
+
+    @pytest.mark.parametrize("multiplier_width", [2, 4, 8, 16])
+    def test_supported_multiplier_widths_match_scalar(self, multiplier_width):
+        backend = ArithmeticBackend(
+            approx_lsbs=multiplier_width,
+            adder_cell="ApproxAdd2",
+            multiplier_cell="AppMultV2",
+            multiplier_width=multiplier_width,
+        )
+        scalar = RecursiveMultiplier(
+            multiplier_width,
+            multiplier_width,
+            backend.resolved_multiplier,
+            backend.resolved_adder,
+        )
+        top = (1 << multiplier_width) - 1
+        a = np.array([0, 1, top, top // 2, -(top // 2)])
+        b = np.array([top, top // 3, top, 2, top // 2])
+        assert list(backend.multiply(a, b)) == [
+            scalar.multiply(int(x), int(y)) for x, y in zip(a, b)
+        ]
 
 
 class TestLibraryListings:

@@ -9,10 +9,10 @@ from repro.arithmetic import (
     MULTIPLIER_CELLS,
     RippleCarryAdder,
     adder_cell,
+    compiled_add,
+    compiled_multiply,
+    compiled_multiply_unsigned,
     multiplier_cell,
-    vector_add,
-    vector_multiply,
-    vector_multiply_unsigned,
 )
 
 adder_cells = st.sampled_from(sorted(ADDER_CELLS))
@@ -31,11 +31,11 @@ class TestAdderInvariants:
 
     @given(int16, st.integers(0, 16), adder_cells)
     @settings(max_examples=60, deadline=None)
-    def test_scalar_and_vector_agree_on_identical_operands(self, a, k, cell_name):
+    def test_scalar_and_compiled_agree_on_identical_operands(self, a, k, cell_name):
         cell = adder_cell(cell_name)
         scalar = RippleCarryAdder(20, k, cell).add(a, a)
-        vector = int(vector_add(np.array([a]), np.array([a]), 20, k, cell)[0])
-        assert scalar == vector
+        compiled = int(compiled_add(np.array([a]), np.array([a]), 20, k, cell)[0])
+        assert scalar == compiled
 
     @given(int16, int16, st.integers(0, 16))
     @settings(max_examples=60, deadline=None)
@@ -68,7 +68,7 @@ class TestMultiplierInvariants:
     @settings(max_examples=40, deadline=None)
     def test_product_always_fits_in_product_width(self, a, b, k, mult_name, add_name):
         product = int(
-            vector_multiply_unsigned(
+            compiled_multiply_unsigned(
                 np.array([a]), np.array([b]), 16, k,
                 multiplier_cell(mult_name), adder_cell(add_name)
             )[0]
@@ -81,15 +81,15 @@ class TestMultiplierInvariants:
         """|a x b| is independent of operand signs (sign-magnitude wrapper)."""
         mult = multiplier_cell(mult_name)
         add5 = adder_cell("ApproxAdd5")
-        base = abs(int(vector_multiply(np.array([a]), np.array([b]), 16, k, mult, add5)[0]))
-        flipped = abs(int(vector_multiply(np.array([-a]), np.array([b]), 16, k, mult, add5)[0]))
+        base = abs(int(compiled_multiply(np.array([a]), np.array([b]), 16, k, mult, add5)[0]))
+        flipped = abs(int(compiled_multiply(np.array([-a]), np.array([b]), 16, k, mult, add5)[0]))
         assert base == flipped
 
     @given(uint16, st.integers(0, 32), mult_cells, adder_cells)
     @settings(max_examples=40, deadline=None)
     def test_multiplication_by_zero_is_zero(self, a, k, mult_name, add_name):
         product = int(
-            vector_multiply_unsigned(
+            compiled_multiply_unsigned(
                 np.array([a]), np.array([0]), 16, k,
                 multiplier_cell(mult_name), adder_cell(add_name)
             )[0]
@@ -106,7 +106,7 @@ class TestMultiplierInvariants:
     @settings(max_examples=40, deadline=None)
     def test_accurate_cells_give_exact_product_regardless_of_k(self, a, b):
         product = int(
-            vector_multiply_unsigned(
+            compiled_multiply_unsigned(
                 np.array([a]), np.array([b]), 16, 32,
                 multiplier_cell("AccMult"), adder_cell("Accurate")
             )[0]
@@ -118,9 +118,9 @@ class TestMultiplierInvariants:
     def test_error_shrinks_to_zero_as_k_reaches_zero(self, a, b, k):
         mult = multiplier_cell("AppMultV1")
         add5 = adder_cell("ApproxAdd5")
-        err_k = abs(int(vector_multiply_unsigned(
+        err_k = abs(int(compiled_multiply_unsigned(
             np.array([a]), np.array([b]), 16, k, mult, add5)[0]) - a * b)
-        err_0 = abs(int(vector_multiply_unsigned(
+        err_0 = abs(int(compiled_multiply_unsigned(
             np.array([a]), np.array([b]), 16, 0, mult, add5)[0]) - a * b)
         assert err_0 == 0
         assert err_k < (1 << (k + 3)) or k == 0

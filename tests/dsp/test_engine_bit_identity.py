@@ -1,51 +1,29 @@
-"""Pipeline-level bit-identity: compiled LUT engine vs the vectorised engine.
+"""Pipeline-level bit-identity of the compiled engine's fast paths.
 
-The word-level backends route every add/multiply through the compiled LUT
-engine; these tests run the *whole* Pan-Tompkins pipeline — offline and
-streaming, across the paper's Fig. 12 design set — against a legacy backend
-that still uses the per-bit vectorised engine (including the historical
+The word-level backends serve FIR taps from per-constant LUTs and the
+squarer from a unary LUT.  These tests run the *whole* Pan-Tompkins
+pipeline — offline and streaming, across the paper's Fig. 12 design set —
+against a backend that spells both as generic multiplies (the historical
 ``full_like`` constant-multiply spelling), and assert every stage output and
-every detected beat is identical.
+every detected beat is identical.  One design is also anchored to the scalar
+reference models, element by element, on a short slice of a record.
 """
 
 import numpy as np
 import pytest
 
-from repro.arithmetic import (
-    ArithmeticBackend,
-    vector_add,
-    vector_multiply,
-    vector_subtract,
-)
+from repro.arithmetic import ArithmeticBackend, RecursiveMultiplier, RippleCarryAdder
 from repro.core.configurations import PAPER_CONFIGURATIONS
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
 from repro.signals import load_record
 from repro.streaming import StreamingPipeline
 
 
-class LegacyVectorizedBackend(ArithmeticBackend):
-    """Word-level backend pinned to the pre-compiled-engine execution path."""
-
-    def add(self, a, b):
-        return vector_add(a, b, self.adder_width, self.approx_lsbs, self.resolved_adder)
-
-    def subtract(self, a, b):
-        return vector_subtract(
-            a, b, self.adder_width, self.approx_lsbs, self.resolved_adder
-        )
-
-    def multiply(self, a, b):
-        return vector_multiply(
-            a,
-            b,
-            self.multiplier_width,
-            self.approx_lsbs,
-            self.resolved_multiplier,
-            self.resolved_adder,
-        )
+class GenericMultiplyBackend(ArithmeticBackend):
+    """Compiled ``add``/``multiply``, with the constant-operand and squarer
+    LUTs replaced by generic multiplies."""
 
     def multiply_constant(self, a, constant):
-        # The historical FIR spelling: materialise the coefficient array.
         a = np.asarray(a, dtype=np.int64)
         return self.multiply(a, np.full_like(a, constant))
 
@@ -53,9 +31,37 @@ class LegacyVectorizedBackend(ArithmeticBackend):
         return self.multiply(a, a)
 
 
-def _legacy_backends(design):
+class ScalarModelBackend(GenericMultiplyBackend):
+    """Every add and multiply through the scalar reference models."""
+
+    def _ripple_carry_adder(self):
+        return RippleCarryAdder(self.adder_width, self.approx_lsbs, self.resolved_adder)
+
+    def add(self, a, b):
+        adder = self._ripple_carry_adder()
+        return np.array([adder.add(int(x), int(y)) for x, y in zip(a, b)], dtype=np.int64)
+
+    def subtract(self, a, b):
+        adder = self._ripple_carry_adder()
+        return np.array(
+            [adder.subtract(int(x), int(y)) for x, y in zip(a, b)], dtype=np.int64
+        )
+
+    def multiply(self, a, b):
+        multiplier = RecursiveMultiplier(
+            self.multiplier_width,
+            self.approx_lsbs,
+            self.resolved_multiplier,
+            self.resolved_adder,
+        )
+        return np.array(
+            [multiplier.multiply(int(x), int(y)) for x, y in zip(a, b)], dtype=np.int64
+        )
+
+
+def _backends_as(backend_type, design):
     return {
-        stage: LegacyVectorizedBackend(
+        stage: backend_type(
             approx_lsbs=backend.approx_lsbs,
             adder_cell=backend.resolved_adder,
             multiplier_cell=backend.resolved_multiplier,
@@ -79,39 +85,55 @@ def _assert_results_identical(result_a, result_b):
 
 
 @pytest.mark.parametrize("config_name", sorted(PAPER_CONFIGURATIONS))
-def test_fig12_designs_bit_identical_across_engines(config_name, record):
+def test_fig12_designs_bit_identical_to_generic_multiplies(config_name, record):
     design = PAPER_CONFIGURATIONS[config_name]
     compiled_result = PanTompkinsPipeline(backends=design.backends()).process(
         record.samples
     )
-    legacy_result = PanTompkinsPipeline(backends=_legacy_backends(design)).process(
-        record.samples
-    )
-    _assert_results_identical(compiled_result, legacy_result)
+    generic_result = PanTompkinsPipeline(
+        backends=_backends_as(GenericMultiplyBackend, design)
+    ).process(record.samples)
+    _assert_results_identical(compiled_result, generic_result)
 
 
-def test_legacy_backend_survives_datapath_translation():
+def test_reference_backend_survives_datapath_translation():
     """``with_approx_lsbs`` must preserve the subclass (type(self) dispatch)."""
-    backend = LegacyVectorizedBackend(
+    backend = GenericMultiplyBackend(
         approx_lsbs=8, adder_cell="ApproxAdd5", multiplier_cell="AppMultV1"
     )
     translated = backend.with_approx_lsbs(12)
-    assert isinstance(translated, LegacyVectorizedBackend)
+    assert isinstance(translated, GenericMultiplyBackend)
     assert translated.approx_lsbs == 12
 
 
 @pytest.mark.parametrize("config_name", ["B9", "B14"])
 @pytest.mark.parametrize("chunk_size", [1, 37, 256])
-def test_streaming_chunks_match_legacy_offline(config_name, chunk_size, record):
-    """Chunked streaming through the compiled engine reproduces the legacy
-    offline pipeline bit-for-bit for any chunk split."""
+def test_streaming_chunks_match_generic_offline(config_name, chunk_size, record):
+    """Chunked streaming through the compiled engine reproduces the
+    generic-multiply offline pipeline bit-for-bit for any chunk split."""
     design = PAPER_CONFIGURATIONS[config_name]
-    legacy_result = PanTompkinsPipeline(backends=_legacy_backends(design)).process(
-        record.samples
-    )
+    generic_result = PanTompkinsPipeline(
+        backends=_backends_as(GenericMultiplyBackend, design)
+    ).process(record.samples)
 
     streamer = StreamingPipeline(backends=design.backends())
     for start in range(0, record.samples.size, chunk_size):
         streamer.push(record.samples[start : start + chunk_size])
     streamed_result = streamer.finalize()
-    _assert_results_identical(legacy_result, streamed_result)
+    _assert_results_identical(generic_result, streamed_result)
+
+
+def test_b9_matches_scalar_models(record):
+    """B9 through the compiled engine equals the scalar reference models.
+
+    The scalar models take tens of milliseconds per sample through the whole
+    pipeline, so the anchor runs on a 64-sample slice around the first R
+    peak, where every stage output of B9 differs from the accurate one.
+    """
+    design = PAPER_CONFIGURATIONS["B9"]
+    samples = record.samples[160:224]
+    compiled_result = PanTompkinsPipeline(backends=design.backends()).process(samples)
+    scalar_result = PanTompkinsPipeline(
+        backends=_backends_as(ScalarModelBackend, design)
+    ).process(samples)
+    _assert_results_identical(compiled_result, scalar_result)
