@@ -201,6 +201,20 @@ class TestFullWidthProperties:
         assert result == scalar.multiply(a, b)
 
     @given(
+        st.lists(int16, min_size=1, max_size=16),
+        st.integers(0, 16),
+        adder_cells,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_add_16_bit_arrays_match_scalar(self, values, approx_lsbs, cell_name):
+        a = np.array(values, dtype=np.int64)
+        b = np.array(values[::-1], dtype=np.int64)
+        cell = adder_cell(cell_name)
+        scalar = RippleCarryAdder(16, approx_lsbs, cell)
+        expected = [scalar.add(int(x), int(y)) for x, y in zip(a, b)]
+        assert list(compiled_add(a, b, 16, approx_lsbs, cell)) == expected
+
+    @given(
         st.lists(int32, min_size=1, max_size=32),
         st.integers(0, 32),
         adder_cells,
@@ -235,6 +249,47 @@ class TestFullWidthProperties:
         assert list(compiled_multiply(a, b, 16, k, mult, adder)) == [
             scalar.multiply(x, y) for x, y in zip(values, values[::-1])
         ]
+
+
+class TestSeededWordLevel:
+    """Seeded operands at every (budget, cell) combination, every run.
+
+    The property tests above draw budgets and cells at random; this grid
+    checks each combination deterministically, including the exact (``k=0``)
+    and fully approximated (``k`` = word width or more) ends.
+    """
+
+    @pytest.mark.parametrize("cell_name", sorted(ADDER_CELLS))
+    @pytest.mark.parametrize("approx_lsbs", [0, 1, 5, 16, 32])
+    def test_add_32_bit_matches_scalar_rca(self, cell_name, approx_lsbs):
+        rng = np.random.default_rng(42)
+        a = rng.integers(-(2**30), 2**30, size=64)
+        b = rng.integers(-(2**30), 2**30, size=64)
+        cell = adder_cell(cell_name)
+        scalar = RippleCarryAdder(32, approx_lsbs, cell)
+        expected = [scalar.add(int(x), int(y)) for x, y in zip(a, b)]
+        assert list(compiled_add(a, b, 32, approx_lsbs, cell)) == expected
+
+    @pytest.mark.parametrize("cell_name", sorted(MULTIPLIER_CELLS))
+    @pytest.mark.parametrize("approx_lsbs", [0, 3, 8, 16, 32])
+    def test_multiply_16_bit_matches_scalar(self, cell_name, approx_lsbs):
+        rng = np.random.default_rng(3)
+        a = rng.integers(-(2**15), 2**15, size=40)
+        b = rng.integers(-(2**15), 2**15, size=40)
+        mult = multiplier_cell(cell_name)
+        add5 = adder_cell("ApproxAdd5")
+        scalar = RecursiveMultiplier(16, approx_lsbs, mult, add5)
+        expected = [scalar.multiply(int(x), int(y)) for x, y in zip(a, b)]
+        assert list(compiled_multiply(a, b, 16, approx_lsbs, mult, add5)) == expected
+
+    def test_subtract_16_bit_matches_scalar(self):
+        rng = np.random.default_rng(7)
+        a = rng.integers(-(2**14), 2**14, size=32)
+        b = rng.integers(-(2**14), 2**14, size=32)
+        cell = adder_cell("ApproxAdd1")
+        scalar = RippleCarryAdder(16, 6, cell)
+        expected = [scalar.subtract(int(x), int(y)) for x, y in zip(a, b)]
+        assert list(compiled_subtract(a, b, 16, 6, cell)) == expected
 
 
 class TestConstantOperandPaths:
@@ -303,6 +358,17 @@ class TestExactPath:
         a, b = np.array([10, -7]), np.array([5, 3])
         result = compiled_add(a, b, 16, 0, adder_cell("ApproxAdd5"), carry_in=1)
         assert list(result) == [16, -3]
+
+    def test_add_matches_plain_addition(self):
+        a = np.array([1, -2, 30000, -30000])
+        b = np.array([5, 7, 1000, -1000])
+        result = compiled_add(a, b, 32, 0, adder_cell("ApproxAdd5"))
+        assert list(result) == list(a + b)
+
+    def test_subtract_matches_plain_subtraction(self):
+        a = np.array([100, -50])
+        b = np.array([30, -20])
+        assert list(compiled_subtract(a, b, 32, 0, adder_cell("Accurate"))) == [70, -30]
 
     def test_unsigned_multiply_matches_numpy_product(self):
         rng = np.random.default_rng(11)
