@@ -11,14 +11,16 @@ slow.
 
 Table compilation is a one-time per-process cost, so the benchmark warms the
 engine first and reports the compile cost separately instead of folding it
-into the ratio.
+into the ratio.  It also reports, without gating, the per-call cost of one
+approximate 32-bit add at several budgets.
 """
 
 import time
 
+import numpy as np
 from conftest import format_row, write_json, write_report
 
-from repro.arithmetic import registry_info
+from repro.arithmetic import adder_cell, compiled_add, registry_info
 from repro.core.configurations import PAPER_CONFIGURATIONS
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
 
@@ -32,6 +34,10 @@ SMOKE_CONFIG = "B9"
 
 _REPEATS = 5
 
+#: One accumulation-sized row and the budgets timed by :func:`_add_costs_us`.
+ADD_ROW_SAMPLES = 12_000
+ADD_BUDGETS = (8, 16, 21, 32)
+
 
 def _best_of(pipeline, samples, repeats=_REPEATS):
     best = float("inf")
@@ -40,6 +46,23 @@ def _best_of(pipeline, samples, repeats=_REPEATS):
         pipeline.process(samples)
         best = min(best, time.perf_counter() - started)
     return best
+
+
+def _add_costs_us(calls=100):
+    """Best-of-``_REPEATS`` microseconds per 32-bit ApproxAdd5 add, per budget."""
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(-(2**20), 2**20, size=(2, ADD_ROW_SAMPLES))
+    cell = adder_cell("ApproxAdd5")
+    costs = {}
+    for k in ADD_BUDGETS:
+        best = float("inf")
+        for _ in range(_REPEATS):
+            started = time.perf_counter()
+            for _ in range(calls):
+                compiled_add(a, b, 32, k, cell)
+            best = min(best, (time.perf_counter() - started) / calls)
+        costs[k] = best * 1e6
+    return costs
 
 
 def test_perf_regression_smoke(benchmark, bench_record):
@@ -59,6 +82,7 @@ def test_perf_regression_smoke(benchmark, bench_record):
     ratio = approximate_s / accurate_s if accurate_s > 0 else float("inf")
 
     tables = registry_info()
+    add_us = _add_costs_us()
     widths = (28, 14)
     lines = [
         f"Approximate vs accurate pipeline cost ({SMOKE_CONFIG}, "
@@ -71,6 +95,10 @@ def test_perf_regression_smoke(benchmark, bench_record):
         format_row(("first-run (incl. compile) [ms]", compile_s * 1e3), widths),
         format_row(("compiled tables", tables["tables"]), widths),
         format_row(("table bytes", tables["bytes"]), widths),
+        *(
+            format_row((f"32-bit add, k={k} [us]", cost), widths)
+            for k, cost in add_us.items()
+        ),
         "",
         f"regression gate: warm ratio < {MAX_WARM_RATIO:.0f}x",
     ]
@@ -87,6 +115,8 @@ def test_perf_regression_smoke(benchmark, bench_record):
             "first_run_incl_compile_s": compile_s,
             "compiled_tables": tables["tables"],
             "table_bytes": tables["bytes"],
+            "add_row_samples": ADD_ROW_SAMPLES,
+            "add_32_bit_us": {str(k): cost for k, cost in add_us.items()},
         },
     )
 

@@ -6,9 +6,9 @@ This subpackage implements the hardware substrate of XBioSiP:
 * elementary 2x2 multipliers (accurate + ``AppMultV1/V2``),
 * ripple-carry adders with ``k`` approximated LSB slices,
 * recursive 4x4 / 8x8 / 16x16 multipliers built from the elementary cells,
-* a compiled LUT engine (slice-composed adds, recursively built product
-  LUTs, constant-operand tables), cross-validated against the scalar models,
-  that the word-level backends route through,
+* a compiled engine (word-parallel adds, recursively built product LUTs,
+  constant-operand tables), cross-validated against the scalar models, that
+  the word-level backends route through,
 * :class:`~repro.arithmetic.library.ArithmeticBackend`, the word-level
   interface the DSP stages run on.
 """

@@ -63,11 +63,8 @@ def to_signed(pattern: int, width: int) -> int:
     >>> to_signed(7, 4)
     7
     """
-    pattern &= mask(width)
     sign_bit = 1 << (width - 1)
-    if pattern & sign_bit:
-        return pattern - (1 << width)
-    return pattern
+    return ((pattern & mask(width)) ^ sign_bit) - sign_bit
 
 
 def bits_of(value: int, width: int) -> List[int]:
@@ -115,8 +112,9 @@ def to_unsigned_array(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def to_signed_array(patterns: np.ndarray, width: int) -> np.ndarray:
-    """Vectorised :func:`to_signed` for NumPy integer arrays."""
+    """Vectorised :func:`to_signed`, in place on the masked copy."""
     patterns = np.asarray(patterns, dtype=np.int64) & np.int64(mask(width))
     sign_bit = np.int64(1 << (width - 1))
-    full = np.int64(1 << width)
-    return np.where(patterns & sign_bit, patterns - full, patterns)
+    patterns ^= sign_bit
+    patterns -= sign_bit
+    return patterns

@@ -1,20 +1,21 @@
-"""Compiled LUT engine for the approximate arithmetic units.
+"""Compiled engine for the approximate arithmetic units.
 
 The scalar models in :mod:`repro.arithmetic.rca` and
 :mod:`repro.arithmetic.recursive_multiplier` walk the approximated region one
 cell at a time.  The approximate cells have tiny input domains, so that
-control flow can be *compiled away* into lookup tables once per
-configuration:
+control flow can be *compiled away* once per configuration, into whole-word
+operations or lookup tables:
 
-* **Slice-composed adds** — for each ``(adder_cell, slice_approx_bits)`` pair
-  an 8-bit-slice table maps ``(a_byte, b_byte, carry_in)`` to
-  ``(sum_byte, carry_out)``.  A 32-bit :func:`compiled_add` becomes at most 4
-  chained NumPy gathers (one per byte slice) instead of up to 32 per-bit
+* **Word-parallel adds** — no tables: each cell's truth table becomes
+  whole-word generate/propagate/sum functions of the operands
+  (:meth:`FullAdderCell.word_plan`), one integer add resolves the carry into
+  every approximated bit at once, and a 32-bit :func:`compiled_add` is about
+  twenty NumPy operations whatever the budget, instead of up to 32 per-bit
   Python iterations; the region above the approximation boundary is exact
   integer arithmetic, bit-identical to simulating accurate cells.
 * **Compiled multipliers** — one recursion level of the paper's Fig. 7
   multiplier (:func:`_split_product`: four sub-products, three
-  slice-composed accumulation adds) does both jobs.  A ``width``-bit product
+  word-parallel accumulation adds) does both jobs.  A ``width``-bit product
   LUT (widths 4 and 8, 2^(2*width) entries) is that level applied to every
   operand pair over the ``width/2`` tables, bottoming out in the 2x2 cell's
   own truth table; a 16x16 multiply is the same level over the 8x8 LUTs —
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -65,12 +66,6 @@ __all__ = [
     "prewarm_tables",
     "registry_info",
 ]
-
-#: Width of one compiled adder slice: 8 bits keeps the per-slice table at
-#: 2^17 entries (256 KiB as uint16) while covering a 32-bit accumulator in
-#: four gathers.
-_SLICE_BITS = 8
-_SLICE_MASK = (1 << _SLICE_BITS) - 1
 
 #: Operand width of the widest direct product LUT: 8x8 -> 2^16 entries.
 _BASE_WIDTH = 8
@@ -110,6 +105,9 @@ class _SingleFlightRegistry:
     process: concurrent requests for a missing key elect one builder (under
     the lock) and every other thread waits on an event until the table is
     published.  A failed build clears the slot so a later caller can retry.
+    A build that needs other tables builds them inside its own ``build()``;
+    the compile-time histogram observes each build's self time, so nested
+    builds are not counted twice.
     """
 
     def __init__(self) -> None:
@@ -117,6 +115,8 @@ class _SingleFlightRegistry:
         self._tables: Dict[Tuple, np.ndarray] = {}
         self._building: Dict[Tuple, threading.Event] = {}
         self._builds = 0
+        # Seconds spent in nested builds by the current build on this thread.
+        self._nested = threading.local()
 
     def get(self, key: Tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
         while True:
@@ -130,27 +130,28 @@ class _SingleFlightRegistry:
                     self._building[key] = event
                     break  # this thread builds
             event.wait()
+        enclosing = getattr(self._nested, "seconds", 0.0)
+        self._nested.seconds = 0.0
+        started = time.perf_counter()
         try:
             with obs_span("lut.compile", kind=str(key[0]) if key else ""):
-                build_started = time.perf_counter()
                 table = build()
-                _LUT_COMPILE_SECONDS.observe(
-                    time.perf_counter() - build_started
-                )
         except BaseException:
             with self._lock:
                 del self._building[key]
             event.set()
             raise
+        finally:
+            elapsed = time.perf_counter() - started
+            nested, self._nested.seconds = self._nested.seconds, enclosing + elapsed
+        _LUT_COMPILE_SECONDS.observe(elapsed - nested)
         with self._lock:
             self._tables[key] = table
             self._builds += 1
             del self._building[key]
             _LUT_BUILDS.inc()
             _LUT_TABLES.set(len(self._tables))
-            _LUT_TABLE_BYTES.set(
-                int(sum(t.nbytes for t in self._tables.values()))
-            )
+            _LUT_TABLE_BYTES.set(sum(t.nbytes for t in self._tables.values()))
         event.set()
         return table
 
@@ -178,38 +179,6 @@ def registry_info() -> Dict[str, int]:
 
 
 # ----------------------------------------------------------- table builders
-def _build_add_slice_table(cell: FullAdderCell, approx_bits: int) -> np.ndarray:
-    """Compile one 8-bit adder slice with ``approx_bits`` approximated LSBs.
-
-    The table is indexed by ``(a_byte << 9) | (b_byte << 1) | carry_in`` and
-    packs ``sum_byte | (carry_out << 8)`` into uint16.  Bit positions below
-    ``approx_bits`` ripple through ``cell``; the rest ripple through the
-    accurate cell — exactly the cell sequence of the scalar ripple-carry
-    chain, evaluated here for all 2^17 inputs in one vectorised sweep.
-    """
-    index = np.arange(1 << (2 * _SLICE_BITS + 1), dtype=np.int64)
-    a = index >> (_SLICE_BITS + 1)
-    b = (index >> 1) & _SLICE_MASK
-    carry = index & 1
-    approx_sums, approx_couts = cell.numpy_tables()
-    exact_sums, exact_couts = ACCURATE_ADDER.numpy_tables()
-    total = np.zeros(index.shape, dtype=np.int64)
-    for position in range(_SLICE_BITS):
-        lookup = ((a >> position) & 1) * 4 + ((b >> position) & 1) * 2 + carry
-        if position < approx_bits:
-            total |= approx_sums[lookup] << position
-            carry = approx_couts[lookup]
-        else:
-            total |= exact_sums[lookup] << position
-            carry = exact_couts[lookup]
-    return (total | (carry << _SLICE_BITS)).astype(np.uint16)
-
-
-def _add_slice_table(cell: FullAdderCell, approx_bits: int) -> np.ndarray:
-    key = ("add_slice", cell.content_key(), approx_bits)
-    return _REGISTRY.get(key, lambda: _build_add_slice_table(cell, approx_bits))
-
-
 def _product_table(
     mult_cell: Multiplier2x2Cell,
     adder_cell: FullAdderCell,
@@ -241,26 +210,6 @@ def _product_table(
     return _REGISTRY.get(key, build)
 
 
-def _build_unary_table(
-    width: int,
-    approx_lsbs: int,
-    mult_cell: Multiplier2x2Cell,
-    adder_cell: FullAdderCell,
-    constant: Optional[int],
-) -> np.ndarray:
-    """Compile a signed LUT over every ``width``-bit input pattern.
-
-    ``constant is None`` compiles the squarer (``f(a) = a*a``); otherwise the
-    fixed-coefficient multiplier (``f(a) = a*constant``).  Entry ``p`` holds
-    the signed approximate product for the operand whose two's-complement
-    pattern is ``p``.
-    """
-    patterns = np.arange(1 << width, dtype=np.int64)
-    operands = to_signed_array(patterns, width)
-    other = operands if constant is None else constant
-    return compiled_multiply(operands, other, width, approx_lsbs, mult_cell, adder_cell)
-
-
 def _unary_table(
     width: int,
     approx_lsbs: int,
@@ -268,6 +217,21 @@ def _unary_table(
     adder_cell: FullAdderCell,
     constant: Optional[int],
 ) -> np.ndarray:
+    """A signed LUT over every ``width``-bit input pattern.
+
+    ``constant is None`` compiles the squarer (``f(a) = a*a``); otherwise the
+    fixed-coefficient multiplier (``f(a) = a*constant``).  Entry ``p`` holds
+    the signed approximate product for the operand whose two's-complement
+    pattern is ``p``.
+    """
+
+    def build() -> np.ndarray:
+        operands = to_signed_array(np.arange(1 << width, dtype=np.int64), width)
+        other = operands if constant is None else constant
+        return compiled_multiply(
+            operands, other, width, approx_lsbs, mult_cell, adder_cell
+        )
+
     key = (
         "square" if constant is None else "constant",
         width,
@@ -276,10 +240,7 @@ def _unary_table(
         adder_cell.content_key(),
         constant,
     )
-    return _REGISTRY.get(
-        key,
-        lambda: _build_unary_table(width, approx_lsbs, mult_cell, adder_cell, constant),
-    )
+    return _REGISTRY.get(key, build)
 
 
 # ------------------------------------------------------------- validation
@@ -298,6 +259,17 @@ def _check_adder_width(width: int) -> None:
 
 
 # ------------------------------------------------------------------- adds
+def _word(coefficients: Tuple[int, ...], ones, a: np.ndarray, b: np.ndarray):
+    """Evaluate a 2-input bit function on whole words from its XOR normal form
+    (coefficients of ``1, a, b, a&b``, with ``ones`` standing for 1)."""
+    value = None
+    for coefficient, term in zip(coefficients, (ones, a, b, None)):
+        if coefficient:
+            term = a & b if term is None else term
+            value = term if value is None else value ^ term
+    return np.int64(0) if value is None else value
+
+
 def compiled_add(
     a: np.ndarray,
     b: np.ndarray,
@@ -306,44 +278,51 @@ def compiled_add(
     cell: FullAdderCell,
     carry_in: int = 0,
 ) -> np.ndarray:
-    """Elementwise N-bit approximate addition via compiled slice tables.
+    """Elementwise N-bit approximate addition, word-parallel.
 
     Same parameters and results as :class:`RippleCarryAdder` applied
-    elementwise.  The approximated region is covered by chained 8-bit-slice
-    gathers (carry-out of one slice feeds the next slice's index);
-    everything above the boundary is exact integer arithmetic.
+    elementwise.  Over the ``k`` approximated bits the cell's generate and
+    propagate masks ``G``/``P`` are whole-word functions of the operands, and
+    one add ``t = (G|P) + G + cin`` ripples the whole chain: the carry into
+    each bit is ``t ^ P``, the carry out is bit ``k`` and the sum a per-bit
+    mux on the carry.  Above the boundary the add is exact.
     """
     _check_adder_width(width)
-    ua = to_unsigned_array(np.asarray(a), width)
-    ub = to_unsigned_array(np.asarray(b), width)
+    ua, ub = to_unsigned_array(a, width), to_unsigned_array(b, width)
     k = max(0, min(approx_lsbs, width))
-
+    carry = np.int64(carry_in & 1)
     if k == 0 or cell.is_exact:
-        total = (ua + ub + np.int64(carry_in & 1)) & np.int64(mask(width))
-        return to_signed_array(total, width)
+        return to_signed_array(ua + ub + carry, width)
 
-    low = np.zeros(ua.shape, dtype=np.int64)
-    carry: object = np.int64(carry_in & 1)
-    byte = np.int64(_SLICE_MASK)
-    position = 0
-    while position < k:
-        table = _add_slice_table(cell, min(_SLICE_BITS, k - position))
-        index = (
-            (((ua >> position) & byte) << (_SLICE_BITS + 1))
-            | (((ub >> position) & byte) << 1)
-            | carry
-        )
-        packed = table[index].astype(np.int64)
-        low |= (packed & byte) << position
-        carry = packed >> _SLICE_BITS
-        position += _SLICE_BITS
-
-    if position >= width:
-        return to_signed_array(low, width)
-    high = ((ua >> position) + (ub >> position) + carry) & np.int64(
-        mask(width - position)
-    )
-    return to_signed_array((high << position) | low, width)
+    ones = np.int64(mask(k))
+    low_a, low_b = ua & ones, ub & ones
+    # Row-sized temporaries are dropped early and updated in place: with more
+    # alive, allocator churn cost up to 5x (``high`` is 0 when k == width).
+    high = (ua >> k) + (ub >> k)
+    del ua, ub
+    plan = cell.word_plan()
+    if plan is None:
+        # Some (a, b) inverts the carry: ripple the approximated bits instead.
+        sums, couts = cell.numpy_tables()
+        low = np.zeros_like(high)
+        for bit in range(k):
+            index = ((low_a >> bit) & 1) * 4 + ((low_b >> bit) & 1) * 2 + carry
+            low |= sums[index] << bit
+            carry = couts[index]
+    else:
+        generate, propagate, sum0, flip = (_word(f, ones, low_a, low_b) for f in plan)
+        del low_a, low_b
+        low = generate | propagate
+        low += generate
+        low += carry
+        carry = low >> k
+        low ^= propagate
+        low &= flip
+        low ^= sum0
+    high += carry
+    high <<= k  # to_signed_array drops what this shifts past ``width``
+    high |= low
+    return to_signed_array(high, width)
 
 
 def compiled_subtract(
@@ -354,8 +333,7 @@ def compiled_subtract(
     cell: FullAdderCell,
 ) -> np.ndarray:
     """Elementwise ``a - b`` computed as ``a + ~b + 1`` through the same chain."""
-    ub = to_unsigned_array(np.asarray(b), width)
-    inverted = (~ub) & np.int64(mask(width))
+    inverted = ~to_unsigned_array(b, width) & np.int64(mask(width))
     return compiled_add(a, inverted, width, approx_lsbs, cell, carry_in=1)
 
 
@@ -426,8 +404,7 @@ def compiled_multiply_unsigned(
     datapath) is one recursion level over the 8x8 LUTs.
     """
     _check_multiplier_width(width)
-    ua = to_unsigned_array(np.asarray(a), width)
-    ub = to_unsigned_array(np.asarray(b), width)
+    ua, ub = to_unsigned_array(a, width), to_unsigned_array(b, width)
     k = max(0, min(approx_lsbs, 2 * width))
     if k == 0 or (mult_cell.is_exact and adder_cell.is_exact):
         return ua * ub
@@ -525,36 +502,21 @@ def compiled_square(
 
 
 # ---------------------------------------------------------------- warm-up
-def prewarm_tables(
-    adder_cells: Optional[Iterable[FullAdderCell]] = None,
-    multiplier_cells: Optional[Iterable[Multiplier2x2Cell]] = None,
-) -> int:
+def prewarm_tables() -> int:
     """Build the common compiled tables ahead of time; returns the count.
 
     Called from the process-pool worker initializer so the first evaluation
-    in each worker does not pay the build cost: every ``(adder cell, slice
-    bits)`` add table is compiled eagerly (they cover all word widths), and
-    each approximate ``(multiplier, adder)`` pairing gets its fully
-    approximated 8x8 product LUT (the deeper budgets build on demand, each
-    in a few milliseconds).  Thread pools share the registry implicitly.
+    in each worker does not pay the build cost: each approximate library
+    ``(multiplier, adder)`` pairing gets its fully approximated 8x8 product
+    LUT (the deeper budgets build on demand, each in a few milliseconds).
+    Adds need no tables.  Thread pools share the registry implicitly.
     """
-    adders = list(adder_cells) if adder_cells is not None else list(
-        ADDER_CELLS.values()
-    )
-    mults = list(multiplier_cells) if multiplier_cells is not None else list(
-        MULTIPLIER_CELLS.values()
-    )
-    built = 0
-    for cell in adders:
-        if cell.is_exact:
-            continue
-        for bits in range(1, _SLICE_BITS + 1):
-            _add_slice_table(cell, bits)
-            built += 1
-    for mult in mults:
-        for adder in adders:
-            if mult.is_exact and adder.is_exact:
-                continue
-            _product_table(mult, adder, _BASE_WIDTH, 2 * _BASE_WIDTH)
-            built += 1
-    return built
+    pairings = [
+        (mult, adder)
+        for mult in MULTIPLIER_CELLS.values()
+        for adder in ADDER_CELLS.values()
+        if not (mult.is_exact and adder.is_exact)
+    ]
+    for mult, adder in pairings:
+        _product_table(mult, adder, _BASE_WIDTH, 2 * _BASE_WIDTH)
+    return len(pairings)

@@ -102,6 +102,9 @@ class FullAdderCell:
     _content_key: Optional[str] = field(
         default=None, init=False, compare=False, repr=False
     )
+    _word_plan: Optional[Tuple[Tuple[int, int, int, int], ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         missing = [p for p in _INPUT_PATTERNS if p not in self.truth_table]
@@ -170,9 +173,8 @@ class FullAdderCell:
     def numpy_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Memoized ``(sum_table, cout_table)`` as NumPy int64 arrays.
 
-        The compiled engine indexes these once per bit slice of every
-        add-slice table it builds; caching them avoids rebuilding two arrays
-        per build.
+        The compiled engine ripples through these bit by bit for a cell whose
+        carry cannot be expressed word-parallel (see :meth:`word_plan`).
         """
         cached = self._np_tables
         if cached is None:
@@ -183,6 +185,27 @@ class FullAdderCell:
             )
             object.__setattr__(self, "_np_tables", cached)
         return cached
+
+    def word_plan(self) -> Optional[Tuple[Tuple[int, int, int, int], ...]]:
+        """Memoized ``(generate, propagate, sum0, flip)`` functions of the
+        operand bits ``(a, b)``, each as its XOR normal form (coefficients of
+        ``1, a, b, a&b``): the carry classes, the sum for carry-in 0 and the
+        sum bits a carry-in of 1 flips.  ``None`` if some ``(a, b)`` inverts
+        the carry (``cout = NOT cin``)."""
+        if self._word_plan is None:
+            sums, couts = self.output_tables()
+            # Each output for carry-in 0/1 as a 4-bit truth mask, bit a*2 + b.
+            s0, s1, c0, c1 = (
+                sum(bit << ab for ab, bit in enumerate(table[cin::2]))
+                for table in (sums, couts)
+                for cin in (0, 1)
+            )
+            plan = () if c0 & ~c1 else tuple(
+                (f & 1, (f ^ f >> 2) & 1, (f ^ f >> 1) & 1, bin(f).count("1") & 1)
+                for f in (c0 & c1, c0 ^ c1, s0, s0 ^ s1)
+            )
+            object.__setattr__(self, "_word_plan", plan)
+        return self._word_plan or None
 
     def content_key(self) -> str:
         """Content hash of the cell's observable behaviour (its truth table).

@@ -7,7 +7,7 @@ Restricting the approximation to the LSBs bounds the maximum error magnitude
 to less than ``2**k``.
 
 This module contains the *scalar reference* implementation: a direct,
-slice-by-slice simulation that is easy to audit.  The compiled LUT engine in
+slice-by-slice simulation that is easy to audit.  The compiled engine in
 :mod:`repro.arithmetic.compiled` is cross-validated against it in the test
 suite.
 """

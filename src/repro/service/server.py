@@ -43,6 +43,7 @@ loop for tests, examples and embedding into synchronous programs.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import re
 import threading
@@ -64,6 +65,10 @@ DEFAULT_PORT = 8377
 #: Submission bodies larger than this are refused with a 413.
 MAX_BODY_BYTES = 1 << 20
 
+#: Requests with more header lines than this are refused with a 431, as are
+#: request and header lines over the stream reader's 64 KiB line limit.
+MAX_HEADER_LINES = 100
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -71,6 +76,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -105,6 +111,13 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except (ValueError, asyncio.LimitOverrunError):  # past the reader's limit
+        raise _HttpError(431, "request or header line too long")
 
 
 class ServiceServer:
@@ -300,7 +313,7 @@ class ServiceServer:
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> Tuple[str, str, Dict[str, str], Optional[object], Dict[str, str]]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        request_line = (await _read_line(reader)).decode("latin-1").strip()
         if not request_line:
             raise _HttpError(400, "empty request")
         parts = request_line.split()
@@ -308,10 +321,12 @@ class ServiceServer:
             raise _HttpError(400, f"malformed request line: {request_line!r}")
         method, target, _version = parts
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for count in itertools.count():
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
+            if count == MAX_HEADER_LINES:
+                raise _HttpError(431, f"more than {MAX_HEADER_LINES} header lines")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:

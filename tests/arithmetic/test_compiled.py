@@ -1,15 +1,19 @@
 """Cross-validation of the compiled LUT engine against the scalar models.
 
 The compiled engine (:mod:`repro.arithmetic.compiled`) replaces per-bit
-Python iteration with precompiled slice/product/constant LUTs; these tests
-prove it bit-identical to the scalar reference hardware models — exhaustively
-over small operand domains (the full 8-bit domain for the adders and the
-paper's multiplier cells), on a seeded 8-bit sample for every multiplier
-pairing, and property-tested at the paper's full 16/32-bit datapath widths —
-and exercise the process-wide single-flight table registry.
+Python iteration with word-parallel adds and precompiled product/constant
+LUTs; these tests prove it bit-identical to the scalar reference hardware
+models — exhaustively over small operand domains (every adder width up to 8
+bits at every budget, the full 8-bit domain for the paper's multiplier
+cells), on a seeded 8-bit sample for every multiplier pairing, for arbitrary
+adder truth tables, and property-tested at the paper's full 16/32-bit
+datapath widths — and exercise the process-wide single-flight table
+registry.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 from repro.arithmetic import (
     ADDER_CELLS,
     MULTIPLIER_CELLS,
+    FullAdderCell,
     RecursiveMultiplier,
     RippleCarryAdder,
     adder_cell,
@@ -31,8 +36,9 @@ from repro.arithmetic import (
     multiplier_cell,
     prewarm_tables,
     registry_info,
+    to_signed_array,
 )
-from repro.arithmetic.compiled import _REGISTRY
+from repro.arithmetic.compiled import _LUT_COMPILE_SECONDS, _REGISTRY
 
 adder_cells = st.sampled_from(sorted(ADDER_CELLS))
 mult_cells = st.sampled_from(sorted(MULTIPLIER_CELLS))
@@ -97,6 +103,104 @@ class TestExhaustiveAdders:
         )
         result = compiled_add(a, b, 8, 6, cell, carry_in=1)
         assert np.array_equal(result, expected)
+
+
+def _ripple_arrays(adder, a, b, carry_in):
+    """:meth:`RippleCarryAdder.add_with_carry` over whole operand arrays.
+
+    Walks the adder's own slice-to-cell assignment (``cell_for_slice``) one
+    bit position at a time, looking each cell's truth table up for every
+    operand pair at once; :class:`TestWordParallelAdder` checks it against
+    the scalar chain before using it as the exhaustive reference.
+    """
+    pattern = np.zeros(a.shape, dtype=np.int64)
+    carry = np.full(a.shape, carry_in, dtype=np.int64)
+    for position in range(adder.width):
+        sums, couts = adder.cell_for_slice(position).numpy_tables()
+        index = ((a >> position) & 1) * 4 + ((b >> position) & 1) * 2 + carry
+        pattern |= sums[index] << position
+        carry = couts[index]
+    return to_signed_array(pattern, adder.width)
+
+
+def _all_pairs(width):
+    operands = np.arange(1 << (2 * width), dtype=np.int64)
+    return operands >> width, operands & ((1 << width) - 1)
+
+
+#: Arbitrary cells: every 8-row truth table is a draw of 16 output bits, so
+#: cells whose carry-out inverts the carry-in are covered too.
+truth_tables = st.lists(st.integers(0, 1), min_size=16, max_size=16).map(
+    lambda bits: FullAdderCell(
+        "drawn",
+        {
+            (a, b, c): (bits[2 * row], bits[2 * row + 1])
+            for row, (a, b, c) in enumerate(
+                (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)
+            )
+        },
+    )
+)
+
+
+class TestWordParallelAdder:
+    """The word-parallel carry chain vs the scalar ripple-carry adder."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_array_reference_matches_scalar_chain(self, width):
+        a, b = _all_pairs(width)
+        for cell in ADDER_CELLS.values():
+            for k in range(width + 2):
+                scalar = RippleCarryAdder(width, k, cell)
+                for carry_in in (0, 1):
+                    expected = [
+                        scalar.add_with_carry(int(x), int(y), carry_in)[0]
+                        for x, y in zip(a, b)
+                    ]
+                    assert list(_ripple_arrays(scalar, a, b, carry_in)) == expected
+                inverted = ~b & ((1 << width) - 1)
+                assert list(_ripple_arrays(scalar, a, inverted, 1)) == [
+                    scalar.subtract(int(x), int(y)) for x, y in zip(a, b)
+                ]
+
+    @pytest.mark.parametrize("cell_name", sorted(ADDER_CELLS))
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_exhaustive_every_budget_and_carry_in(self, cell_name, width):
+        cell = adder_cell(cell_name)
+        a, b = _all_pairs(width)
+        inverted = ~b & ((1 << width) - 1)
+        for k in range(width + 2):
+            scalar = RippleCarryAdder(width, k, cell)
+            for carry_in in (0, 1):
+                assert np.array_equal(
+                    compiled_add(a, b, width, k, cell, carry_in=carry_in),
+                    _ripple_arrays(scalar, a, b, carry_in),
+                ), (k, carry_in)
+            assert np.array_equal(
+                compiled_subtract(a, b, width, k, cell),
+                _ripple_arrays(scalar, a, inverted, 1),
+            ), k
+
+    @given(
+        truth_tables,
+        st.sampled_from([16, 32, 62]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_truth_tables_match_scalar(self, cell, width, data):
+        k = data.draw(st.integers(0, width + 1))
+        carry_in = data.draw(st.integers(0, 1))
+        word = st.integers(-(2 ** (width - 1)), 2 ** (width - 1) - 1)
+        a = data.draw(st.lists(word, min_size=1, max_size=8))
+        b = data.draw(st.lists(word, min_size=len(a), max_size=len(a)))
+        scalar = RippleCarryAdder(width, k, cell)
+        ua, ub = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        assert list(compiled_add(ua, ub, width, k, cell, carry_in=carry_in)) == [
+            scalar.add_with_carry(x, y, carry_in)[0] for x, y in zip(a, b)
+        ]
+        assert list(compiled_subtract(ua, ub, width, k, cell)) == [
+            scalar.subtract(x, y) for x, y in zip(a, b)
+        ]
 
 
 class TestExhaustiveMultipliers:
@@ -390,25 +494,57 @@ class TestRegistry:
 
     def test_tables_are_built_exactly_once_across_threads(self):
         _REGISTRY.clear()
-        cell = adder_cell("ApproxAdd3")
+        mult, adder = multiplier_cell("AppMultV1"), adder_cell("ApproxAdd3")
         a = np.arange(256, dtype=np.int64)
+        start = threading.Barrier(8)
         results = []
 
         def work():
-            results.append(compiled_add(a, a, 32, 11, cell))
+            start.wait(timeout=60)
+            results.append(compiled_multiply_unsigned(a, a[::-1], 8, 11, mult, adder))
 
         threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # 32-bit add with k=11 needs exactly two slice tables (8 + 3 bits);
-        # eight concurrent callers must not build duplicates.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings inside the builds
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        # The 8-bit product table and the width-4 tables it is built from:
+        # eight concurrent callers must build each distinct table once.
         info = registry_info()
-        assert info["builds"] == 2
-        reference = results[0]
+        assert info["tables"] > 1
+        assert info["builds"] == info["tables"]
+        assert len(results) == 8
         for result in results[1:]:
-            assert np.array_equal(result, reference)
+            assert np.array_equal(result, results[0])
+
+    def test_adds_build_no_tables(self):
+        _REGISTRY.clear()
+        a = np.arange(256, dtype=np.int64)
+        for cell in ADDER_CELLS.values():
+            compiled_add(a, a[::-1], 32, 11, cell)
+            compiled_subtract(a, a[::-1], 16, 16, cell)
+        assert registry_info()["builds"] == 0
+
+    def test_compile_histogram_counts_nested_builds_once(self):
+        """A constant table builds product tables inside its own build; the
+        histogram observes self time, so its sum cannot exceed the wall time
+        of the outermost build."""
+        _REGISTRY.clear()
+        mult, adder = multiplier_cell("AppMultV2"), adder_cell("ApproxAdd5")
+        ((_, histogram),) = _LUT_COMPILE_SECONDS.children()
+        count, total = histogram.count, histogram.sum
+        started = time.perf_counter()
+        compiled_multiply_constant(np.arange(-8, 8), 1234, 16, 20, mult, adder)
+        wall = time.perf_counter() - started
+        assert registry_info()["builds"] > 1  # the build really nested
+        assert histogram.count - count == registry_info()["builds"]
+        assert 0 < histogram.sum - total <= wall
 
     def test_prewarm_is_idempotent(self):
         _REGISTRY.clear()

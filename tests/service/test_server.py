@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import pytest
 
 from repro.service import ServiceClient, ServiceError
+from repro.service.server import MAX_HEADER_LINES
 
 EVALUATE_B9 = {"kind": "evaluate", "designs": [{"config": "B9"}]}
 
@@ -127,6 +129,31 @@ class TestMalformedRequests:
         connection.close()
         assert response.status == 400
         assert "JSON" in payload["error"]
+
+    @staticmethod
+    def _raw_status(service, request):
+        with socket.create_connection(service.address, timeout=30) as sock:
+            sock.sendall(request)
+            status_line = sock.makefile("rb").readline()
+        return int(status_line.split()[1])
+
+    @pytest.mark.parametrize("where", ["request line", "header line"])
+    def test_line_over_reader_limit_gets_431(self, service, where):
+        filler = b"a" * (70 * 1024)
+        if where == "request line":
+            request = b"GET /healthz?x=" + filler + b" HTTP/1.1\r\n\r\n"
+        else:
+            request = b"GET /healthz HTTP/1.1\r\nX-Big: " + filler + b"\r\n\r\n"
+        assert self._raw_status(service, request) == 431
+        assert self._raw_status(service, b"GET /healthz HTTP/1.1\r\n\r\n") == 200
+
+    def test_too_many_header_lines_gets_431(self, service):
+        def request(count):
+            lines = b"".join(b"X-Header-%d: v\r\n" % i for i in range(count))
+            return b"GET /healthz HTTP/1.1\r\n" + lines + b"\r\n"
+
+        assert self._raw_status(service, request(MAX_HEADER_LINES)) == 200
+        assert self._raw_status(service, request(MAX_HEADER_LINES + 1)) == 431
 
     def test_unknown_job_gets_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
